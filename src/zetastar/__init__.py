@@ -6,131 +6,23 @@ the classical repeated-index families as rational multiples of pi powers,
 cyclotomic and power-series machinery backing them, certified numeric
 evaluation of the nested series, and executable verification of all the
 identities tying those pieces together.
+
+The public names are those of the submodules' ``__all__`` lists.
 """
 
-from .closed_forms import (
-    alpha,
-    compositions,
-    euler_zeta_even,
-    mzv_31_repeated,
-    mzv_repeated_2m,
-    newton_e_oracle,
-    newton_h_oracle,
-    thm1_C,
-    thm3_sum,
-    thmA_coefficient,
-    thmB_coefficient,
-    thmB_via_relation,
-    thmC_coefficient,
-    thmC_via_relation,
-)
-from .cyclotomic import (
-    CycloElem,
-    NotRationalError,
-    cyclo_rational_value,
-    cyclo_reduce,
-    cyclotomic_polynomial,
-)
-from .exact import (
-    PiMultiple,
-    bernoulli,
-    csc_coefficient,
-    format_rational,
-    parse_rational,
-)
-from .numeric import (
-    NumericValue,
-    ToleranceUnreachable,
-    harm_elem_numeric,
-    mzsv_numeric,
-    mzv_numeric,
-    pi_multiple_numeric,
-)
-from .series import PowerSeries, series_mul
-from .verify import (
-    Report,
-    WordSampler,
-    verify_genfunc_thmA,
-    verify_s_consistency,
-    verify_stuffle_laws,
-    verify_thm6,
-    verify_thm7,
-    verify_z_homomorphism,
-)
-from .words import (
-    HarmElem,
-    ParseError,
-    Word,
-    depth,
-    format_index,
-    harmonic_product,
-    insertions,
-    is_admissible,
-    parse_index,
-    s1_substitute,
-    s_map,
-    s_map_via_s1,
-    weight,
-    word_to_xy,
-    xy_to_word,
-)
+from . import closed_forms, cyclotomic, exact, numeric, series, verify, words
+from .closed_forms import *  # noqa: F401,F403
+from .cyclotomic import *  # noqa: F401,F403
+from .exact import *  # noqa: F401,F403
+from .numeric import *  # noqa: F401,F403
+from .series import *  # noqa: F401,F403
+from .verify import *  # noqa: F401,F403
+from .words import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CycloElem",
-    "HarmElem",
-    "NotRationalError",
-    "NumericValue",
-    "ParseError",
-    "PiMultiple",
-    "PowerSeries",
-    "Report",
-    "ToleranceUnreachable",
-    "Word",
-    "WordSampler",
-    "alpha",
-    "bernoulli",
-    "compositions",
-    "csc_coefficient",
-    "cyclo_rational_value",
-    "cyclo_reduce",
-    "cyclotomic_polynomial",
-    "depth",
-    "euler_zeta_even",
-    "format_index",
-    "format_rational",
-    "harm_elem_numeric",
-    "harmonic_product",
-    "insertions",
-    "is_admissible",
-    "mzsv_numeric",
-    "mzv_31_repeated",
-    "mzv_numeric",
-    "mzv_repeated_2m",
-    "newton_e_oracle",
-    "newton_h_oracle",
-    "parse_index",
-    "parse_rational",
-    "pi_multiple_numeric",
-    "s1_substitute",
-    "s_map",
-    "s_map_via_s1",
-    "series_mul",
-    "thm1_C",
-    "thm3_sum",
-    "thmA_coefficient",
-    "thmB_coefficient",
-    "thmB_via_relation",
-    "thmC_coefficient",
-    "thmC_via_relation",
-    "verify_genfunc_thmA",
-    "verify_s_consistency",
-    "verify_stuffle_laws",
-    "verify_thm6",
-    "verify_thm7",
-    "verify_z_homomorphism",
-    "weight",
-    "word_to_xy",
-    "xy_to_word",
-]
+__all__ = sorted(
+    name
+    for module in (closed_forms, cyclotomic, exact, numeric, series, verify, words)
+    for name in module.__all__
+)

@@ -24,7 +24,7 @@ import sys
 
 from . import closed_forms, verify
 from .cyclotomic import NotRationalError
-from .exact import PiMultiple, bernoulli, format_rational
+from .exact import PiMultiple, bernoulli
 from .numeric import (
     DEFAULT_MAX_TERMS,
     DEFAULT_TOL,
@@ -33,14 +33,7 @@ from .numeric import (
     mzsv_numeric,
     mzv_numeric,
 )
-from .words import (
-    ParseError,
-    format_index,
-    insertions,
-    is_admissible,
-    parse_index,
-    s_map,
-)
+from .words import format_index, insertions, parse_index, s_map
 
 __all__ = ["main"]
 
@@ -50,13 +43,9 @@ EXIT_TOLERANCE = 2
 EXIT_INVARIANT = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # noqa: D102 - argparse hook
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _build_parser() -> _Parser:
@@ -152,15 +141,6 @@ def _run_expand(args) -> int:
 
 def _run_eval(args) -> int:
     index = parse_index(args.index)
-    if not is_admissible(index):
-        raise UsageError(
-            f"index {format_index(index)} is not admissible "
-            "(the leading part must be >= 2)"
-        )
-    if args.tol <= 0:
-        raise UsageError("--tol must be positive")
-    if args.max_terms < 1:
-        raise UsageError("--max-terms must be positive")
     evaluate = mzsv_numeric if args.star else mzv_numeric
     nv: NumericValue = evaluate(index, args.tol, args.max_terms)
     _emit(
@@ -172,10 +152,6 @@ def _run_eval(args) -> int:
 
 
 def _run_coeff(args) -> int:
-    if args.family in ("thmA", "thm1") and args.m < 1:
-        raise UsageError("--m must be positive")
-    if args.n < 0 or (args.family == "thmC" and args.n < 1):
-        raise UsageError("--n out of range")
     if args.family == "thmA":
         value = PiMultiple(
             closed_forms.thmA_coefficient(args.m, args.n), 2 * args.m * args.n
@@ -191,33 +167,17 @@ def _run_coeff(args) -> int:
 
 
 def _run_verify(args) -> int:
-    if args.check in ("thm6", "thm7"):
-        letters = [args.a, args.b] + ([args.c] if args.check == "thm7" else [])
-        if min(letters) < 1 or args.n < 0:
-            raise UsageError("letters must be >= 1 and --n >= 0")
-    if args.check in ("stuffle", "zhom") and args.trials < 0:
-        raise UsageError("--trials must be nonnegative")
     if args.check == "thm6":
         report = verify.verify_thm6(args.a, args.b, args.n)
     elif args.check == "thm7":
         report = verify.verify_thm7(args.a, args.b, args.c, args.n)
     elif args.check == "stuffle":
-        if args.max_weight < 1:
-            raise UsageError("--max-weight must be at least 1")
         report = verify.verify_stuffle_laws(args.seed, args.trials, args.max_weight)
     elif args.check == "genfunc":
-        if args.m < 1 or args.max_n < 1:
-            raise UsageError("--m and --max-n must be positive")
         report = verify.verify_genfunc_thmA(args.m, args.max_n)
     elif args.check == "sconsist":
-        if args.max_depth < 1 or args.max_part < 1:
-            raise UsageError("--max-depth and --max-part must be positive")
         report = verify.verify_s_consistency(args.max_depth, args.max_part)
     else:
-        if args.tol <= 0:
-            raise UsageError("--tol must be positive")
-        if args.max_terms < 1:
-            raise UsageError("--max-terms must be positive")
         report = verify.verify_z_homomorphism(
             args.seed, args.trials, args.tol, args.max_terms
         )
@@ -232,16 +192,12 @@ def _run_verify(args) -> int:
 
 
 def _run_bernoulli(args) -> int:
-    if args.n < 0:
-        raise UsageError("--n must be nonnegative")
-    value = bernoulli(args.n)
-    _emit(format_rational(value), {"bernoulli": format_rational(value)}, args.format)
+    value = str(bernoulli(args.n))
+    _emit(value, {"bernoulli": value}, args.format)
     return EXIT_OK
 
 
 def _run_insertions(args) -> int:
-    if args.n < 1:
-        raise UsageError("--n must be positive")
     words = insertions(args.n)
     _emit(
         "\n".join(format_index(w) for w in words),
@@ -268,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
         if not hasattr(args, "format"):
             args.format = "text"
         return _RUNNERS[args.command](args)
-    except (UsageError, ParseError) as exc:
+    except ValueError as exc:  # usage, index syntax and library range checks
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ToleranceUnreachable as exc:

@@ -25,7 +25,7 @@ from math import comb, factorial, lcm
 from typing import Iterator
 
 from .cyclotomic import CycloElem, cyclo_rational_value
-from .exact import PiMultiple, bernoulli
+from .exact import PiMultiple, bernoulli, csc_coefficient
 
 __all__ = [
     "alpha",
@@ -66,6 +66,10 @@ def compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
 def thm1_C(m: int, n: int) -> Fraction:
     """Recurrence constants for zeta({2m}^n): C_0 = 1 and
     C_n = (1/2n) sum_{l=1}^{n} (-1)^l C(2mn, 2ml) B_{2ml} C_{n-l}."""
+    if m < 1:
+        raise ValueError("m must be positive")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if n == 0:
         return Fraction(1)
     total = sum(
@@ -92,12 +96,6 @@ def euler_zeta_even(k: int) -> PiMultiple:
     sign = 1 if (k + 1) % 2 == 0 else -1
     coeff = sign * bernoulli(2 * k) * Fraction(2 ** (2 * k), 2 * factorial(2 * k))
     return PiMultiple(coeff, 2 * k)
-
-
-def _csc_term(j: int) -> Fraction:
-    # (2^{2j} - 2) B_{2j} / (2j)!, the unsigned building block of the
-    # cosecant coefficients; the signs are supplied by each formula.
-    return Fraction(2 ** (2 * j) - 2) * bernoulli(2 * j) / factorial(2 * j)
 
 
 @lru_cache(maxsize=None)
@@ -189,11 +187,15 @@ def newton_e_oracle(m: int, n: int) -> Fraction:
 def alpha(n: int) -> Fraction:
     """The double Bernoulli sum
     sum_{n0 + n1 = 2n} (-1)^(n1) (2^{2 n0} - 2) B_{2 n0} / (2 n0)!
-                                (2^{2 n1} - 2) B_{2 n1} / (2 n1)!."""
+                                (2^{2 n1} - 2) B_{2 n1} / (2 n1)!.
+
+    Each factor is a cosecant coefficient up to the sign (-1)^(n_k - 1);
+    with n0 + n1 even those two signs cancel.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     return sum(
-        (Fraction(-1) ** n1) * _csc_term(2 * n - n1) * _csc_term(n1)
+        (-1) ** n1 * csc_coefficient(2 * n - n1) * csc_coefficient(n1)
         for n1 in range(2 * n + 1)
     )
 

@@ -58,7 +58,7 @@ def _poly_mul_int(a, b) -> list[int]:
 
 
 def _poly_divmod_monic(num, den):
-    """Long division by a monic integer polynomial; stays in integers."""
+    """Long division by a monic polynomial: (quotient, remainder)."""
     rem = list(num)
     dd = len(den) - 1
     quot = [0] * max(1, len(rem) - dd)
@@ -157,15 +157,7 @@ def cyclo_reduce(e: CycloElem) -> tuple[Fraction, ...]:
 
     Returned ascending with trailing zeros trimmed; the empty tuple is 0.
     """
-    phi = cyclotomic_polynomial(e.modulus)
-    dd = len(phi) - 1
-    rem = list(e.coeffs)
-    for shift in range(len(rem) - 1 - dd, -1, -1):
-        c = rem[shift + dd]
-        if c:
-            for i, y in enumerate(phi):
-                rem[shift + i] -= c * y
-    rem = rem[:dd]
+    _, rem = _poly_divmod_monic(e.coeffs, cyclotomic_polynomial(e.modulus))
     while rem and rem[-1] == 0:
         rem.pop()
     return tuple(rem)

@@ -18,20 +18,14 @@ __all__ = [
     "PiMultiple",
     "bernoulli",
     "csc_coefficient",
-    "format_rational",
     "parse_rational",
 ]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
-def format_rational(q: Fraction) -> str:
-    """Render a rational as "p/q" in lowest terms, or "p" when q = 1."""
-    return str(q)
-
-
 def parse_rational(s: str) -> Fraction:
-    """Inverse of :func:`format_rational`. Accepts only "p" or "p/q" forms."""
+    """Inverse of ``str`` on a Fraction. Accepts only "p" or "p/q" forms."""
     s = s.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational literal: {s!r}")
@@ -85,7 +79,7 @@ class PiMultiple:
             raise ValueError("pi_power must be nonnegative")
 
     def __str__(self) -> str:
-        return f"{format_rational(self.coeff)} * pi^{self.pi_power}"
+        return f"{self.coeff} * pi^{self.pi_power}"
 
     def __mul__(self, other: "PiMultiple") -> "PiMultiple":
         if not isinstance(other, PiMultiple):
@@ -102,7 +96,7 @@ class PiMultiple:
         return PiMultiple(self.coeff + other.coeff, self.pi_power)
 
     def to_json_obj(self) -> dict:
-        return {"coeff": format_rational(self.coeff), "pi_power": self.pi_power}
+        return {"coeff": str(self.coeff), "pi_power": self.pi_power}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PiMultiple":

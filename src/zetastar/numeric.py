@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import PiMultiple
-from .words import HarmElem, Word, is_admissible
+from .words import HarmElem, Word, format_index, is_admissible
 
 __all__ = [
     "DEFAULT_MAX_TERMS",
@@ -153,16 +153,27 @@ def _rounding_allowance(depth_: int, n_cut: int, value: float) -> float:
     return 4.0 * depth_ * n_cut * _EPS * (abs(value) + 1.0)
 
 
+def _check_budget(tol: float, max_terms: int) -> None:
+    """Reject a tolerance that is not positive (NaN included) or an empty
+    term cap."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_terms < 1:
+        raise ValueError(f"max_terms must be positive, got {max_terms}")
+
+
 def _nested_sum_numeric(
     index: Word, tol: float, strict: bool, max_terms: int
 ) -> NumericValue:
+    _check_budget(tol, max_terms)
     index = tuple(index)
     if not index:
         return NumericValue(1.0, 0.0)  # the unit word evaluates to 1 exactly
     if not is_admissible(index):
-        raise ValueError(f"index {index} is not admissible (leading part < 2)")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+        raise ValueError(
+            f"index {format_index(index)} is not admissible "
+            "(the leading part must be >= 2)"
+        )
     n_cut = _choose_cutoff(index, tol, strict, max_terms)
     value = _partial_sum(index, n_cut, strict)
     if len(index) == 1:
@@ -197,6 +208,7 @@ def harm_elem_numeric(
     so the combined truncation budget never exceeds `tol`; the reported bound
     accumulates the per-term bounds and the float rounding of the combination.
     """
+    _check_budget(tol, max_terms)
     terms = elem.items()
     if not terms:
         return NumericValue(0.0, 0.0)

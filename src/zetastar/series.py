@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["PowerSeries", "series_mul"]
+__all__ = ["PowerSeries"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,6 +42,7 @@ class PowerSeries:
         return PowerSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
+        """Cauchy product truncated at the common order."""
         if not isinstance(other, PowerSeries):
             return NotImplemented
         self._check_compatible(other)
@@ -56,8 +57,3 @@ class PowerSeries:
                 if b:
                     out[i + j] = out[i + j] + a * b
         return PowerSeries(tuple(out))
-
-
-def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Cauchy product truncated at the common order."""
-    return a * b

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .closed_forms import thmA_coefficient
 from .cyclotomic import CycloElem, cyclo_rational_value, cyclo_reduce
 from .exact import csc_coefficient
-from .numeric import DEFAULT_MAX_TERMS, harm_elem_numeric, mzv_numeric
+from .numeric import DEFAULT_MAX_TERMS, _check_budget, harm_elem_numeric, mzv_numeric
 from .series import PowerSeries
 from .words import HarmElem, Word, s_map, s_map_via_s1
 
@@ -131,6 +131,13 @@ def verify_stuffle_laws(seed: int, trials: int, max_weight: int) -> Report:
     return report
 
 
+def _check_letters(n: int, *letters: int) -> None:
+    if min(letters) < 1:
+        raise ValueError(f"letters must be positive, got {letters}")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+
+
 def _word_power(base: Word, reps: int) -> Word:
     return tuple(base) * reps
 
@@ -142,6 +149,7 @@ def verify_thm6(a: int, b: int, n: int) -> Report:
       S(u^n)        = sum_i u^i * S((a+b)^(n-i))
       S(b u^n)      = sum_i (b, u^i) * S((a+b)^(n-i)).
     """
+    _check_letters(n, a, b)
     report = Report("thm6", {"a": a, "b": b, "n": n})
     merged = [s_map(_word_power((a + b,), j)) for j in range(n + 1)]
 
@@ -181,6 +189,7 @@ def verify_thm7(a: int, b: int, c: int, n: int) -> Report:
     and the same shape with every word prefixed (resp. suffixed) by b.
     Summations with an empty range are zero.
     """
+    _check_letters(n, a, b, c)
     report = Report("thm7", {"a": a, "b": b, "c": c, "n": n})
     merged = [s_map(_word_power((a + b,), j)) for j in range(n + 1)]
 
@@ -281,6 +290,10 @@ def verify_s_consistency(max_depth: int, max_part: int) -> Report:
     """Agreement of the suffix-recursion and two-letter-substitution routes
     to the merge expansion: exhaustive through depth 6, seeded samples
     (120 per depth) beyond."""
+    if max_depth < 1:
+        raise ValueError("max_depth must be positive")
+    if max_part < 1:
+        raise ValueError("max_part must be positive")
     report = Report("sconsist", {"max_depth": max_depth, "max_part": max_part})
 
     def check(word: Word) -> None:
@@ -322,6 +335,9 @@ def verify_z_homomorphism(
     powers of log, and a tight budget would push their cutoffs past the term
     cap.  The identity check is against the certified bounds, not `tol`.
     """
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
+    _check_budget(tol, max_terms)
     report = Report("zhom", {"seed": seed, "trials": trials, "tol": tol})
     sampler = WordSampler(seed)
     for trial in range(trials):

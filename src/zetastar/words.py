@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
-from .exact import format_rational, parse_rational
+from .exact import parse_rational
 
 __all__ = [
     "HarmElem",
@@ -191,7 +191,7 @@ class HarmElem:
             elif coeff == -1:
                 text = f"-{body}"
             else:
-                text = f"{format_rational(coeff)} {body}"
+                text = f"{coeff} {body}"
             chunks.append(text)
         out = chunks[0]
         for text in chunks[1:]:
@@ -206,7 +206,7 @@ class HarmElem:
 
     def to_json_obj(self) -> list[dict]:
         return [
-            {"word": list(word), "coeff": format_rational(coeff)}
+            {"word": list(word), "coeff": str(coeff)}
             for word, coeff in self.items()
         ]
 

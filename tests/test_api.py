@@ -1,0 +1,41 @@
+import math
+
+import pytest
+
+import zetastar
+from zetastar import closed_forms, cyclotomic, exact, numeric, series, verify, words
+
+
+def test_package_exports_every_module_name():
+    modules = (closed_forms, cyclotomic, exact, numeric, series, verify, words)
+    union = {name for module in modules for name in module.__all__}
+    assert set(zetastar.__all__) == union
+    assert len(zetastar.__all__) == len(union)
+    assert all(hasattr(zetastar, name) for name in zetastar.__all__)
+
+
+@pytest.mark.parametrize(
+    "fn,args",
+    [
+        (closed_forms.mzv_repeated_2m, (0, 3)),
+        (closed_forms.thm1_C, (0, 3)),
+        (closed_forms.thm1_C, (1, -1)),
+        (verify.verify_thm6, (1, 1, -1)),
+        (verify.verify_thm6, (0, 1, 1)),
+        (verify.verify_thm7, (1, 1, 0, 1)),
+        (verify.verify_thm7, (1, 1, 2, -1)),
+        (verify.verify_s_consistency, (0, 3)),
+        (verify.verify_s_consistency, (3, 0)),
+        (verify.verify_z_homomorphism, (1, -3)),
+        (verify.verify_z_homomorphism, (1, 0, math.nan)),
+        (verify.verify_z_homomorphism, (1, 0, 0.25, 0)),
+        (numeric.mzv_numeric, ((2,), 1e-3, 0)),
+        (numeric.mzv_numeric, ((2,), math.nan)),
+        (numeric.mzsv_numeric, ((2,), 1e-3, 0)),
+        (numeric.mzsv_numeric, ((2,), math.nan)),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else repr(v).replace(" ", ""),
+)
+def test_out_of_range_arguments_raise_value_error(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)

@@ -161,9 +161,21 @@ class TestSimpleCommands:
 
 
 class TestErrors:
-    @pytest.mark.parametrize("index", ["3,0,1", "3,1,", "", "x"])
-    def test_bad_index_exit_one(self, capsys, index):
-        code, _, err = run(capsys, "expand", "--index", index)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(("expand", "--index", index), id=index)
+            for index in ("3,0,1", "3,1,", "", "x")
+        ]
+        + [
+            pytest.param(("eval", "--index", "2", "--tol", "nan"), id="eval-tol-nan"),
+            pytest.param(
+                ("eval", "--index", "2", "--max-terms", "0"), id="eval-max-terms-0"
+            ),
+        ],
+    )
+    def test_bad_index_exit_one(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
         assert code == 1
         assert err.startswith("error:")
 

@@ -5,7 +5,7 @@ import pytest
 
 from zetastar.cyclotomic import CycloElem
 from zetastar.exact import csc_coefficient
-from zetastar.series import PowerSeries, series_mul
+from zetastar.series import PowerSeries
 
 F = Fraction
 
@@ -18,12 +18,12 @@ class TestRationalSeries:
     def test_difference_of_squares(self):
         a = rational_series(1, 1, 0)
         b = rational_series(1, -1, 0)
-        assert series_mul(a, b) == rational_series(1, 0, -1)
+        assert a * b == rational_series(1, 0, -1)
 
     def test_geometric_telescopes(self):
         geo = rational_series(1, 1, 1, 1, 1)
         one_minus_x = rational_series(1, -1, 0, 0, 0)
-        assert series_mul(geo, one_minus_x) == rational_series(1, 0, 0, 0, 0)
+        assert geo * one_minus_x == rational_series(1, 0, 0, 0, 0)
 
     def test_cosecant_times_sine_is_one(self):
         # x csc x and sin(x)/x as series in x^2, through degree 12
@@ -40,12 +40,12 @@ class TestRationalSeries:
 
     def test_mismatched_truncation(self):
         with pytest.raises(ValueError):
-            series_mul(rational_series(1, 0), rational_series(1, 0, 0))
+            rational_series(1, 0) * rational_series(1, 0, 0)
 
     def test_mismatched_ring(self):
         cyclo = PowerSeries((CycloElem.one(3), CycloElem.zero(3)))
         with pytest.raises(ValueError):
-            series_mul(cyclo, rational_series(1, 0))
+            cyclo * rational_series(1, 0)
 
     def test_requires_positive_truncation(self):
         with pytest.raises(ValueError):
