@@ -22,14 +22,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from typing import Iterator
 
 from .cyclotomic import CycloElem, cyclo_rational_value
-from .exact import PiMultiple, bernoulli, csc_coefficient
+from .exact import PiMultiple, bernoulli
 
 __all__ = [
     "alpha",
-    "compositions",
     "euler_zeta_even",
     "mzv_31_repeated",
     "mzv_repeated_2m",
@@ -44,22 +42,6 @@ __all__ = [
     "thmC_coefficient",
     "thmC_via_relation",
 ]
-
-
-def compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-    """Stream all tuples of `slots` nonnegative integers summing to `total`.
-
-    Exactly C(total + slots - 1, slots - 1) tuples, each yielded once, in
-    lexicographic order.
-    """
-    if slots < 1:
-        raise ValueError("slots must be positive")
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, slots - 1):
-            yield (first,) + rest
 
 
 @lru_cache(maxsize=None)
@@ -98,48 +80,60 @@ def euler_zeta_even(k: int) -> PiMultiple:
     return PiMultiple(coeff, 2 * k)
 
 
+def _scaled_blocks(top: int) -> tuple[int, list[int]]:
+    """(L, unit) with unit[j] = L (2^{2j} - 2) B_{2j} for j = 0..top, all
+    integers: L is the lcm of the Bernoulli denominators involved."""
+    bern = [bernoulli(2 * j) for j in range(top + 1)]
+    L = lcm(*(b.denominator for b in bern))
+    unit = [
+        (2 ** (2 * j) - 2) * b.numerator * (L // b.denominator)
+        for j, b in enumerate(bern)
+    ]
+    return L, unit
+
+
 @lru_cache(maxsize=None)
 def thmA_cyclo_sum(m: int, n: int) -> CycloElem:
     """The group-ring accumulation behind :func:`thmA_coefficient`.
 
-    Streams every composition n_0 + ... + n_{m-1} = mn and accumulates
+    Sums, over every composition n_0 + ... + n_{m-1} = mn,
     (-1)^(m(n-1)) prod_k (2^{2 n_k} - 2) B_{2 n_k} / (2 n_k)! into the
     coefficient of t^(sum_l l n_l mod m) of Q[t]/(t^m - 1).
 
     The factors are put over the shared denominator L^m (2mn)! (L the lcm of
-    the Bernoulli denominators involved), so the whole enumeration runs in
-    integer arithmetic; per-residue sums become Fractions only at the end.
+    the Bernoulli denominators involved), which turns 1 / prod (2 n_k)! into
+    the product of the binomials C(2 rem, 2 n_k) slot by slot.  A dynamic
+    program then runs over the slots in integers, keeping one partial sum per
+    state (mn left to distribute, exponent mod m): O(m^4 n^2) products
+    instead of one per composition.  The per-residue sums become Fractions
+    only at the end.
     """
     if m < 1:
         raise ValueError("m must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
     total = m * n
-    bern = [bernoulli(2 * j) for j in range(total + 1)]
-    L = lcm(*(b.denominator for b in bern)) if bern else 1
-    unit = [
-        (2 ** (2 * j) - 2) * bern[j].numerator * (L // bern[j].denominator)
-        for j in range(total + 1)
-    ]
-    acc = [0] * m
-    # Depth-first over the slots with running product, running multinomial
-    # factor C(2 rem, 2 n_k) and running exponent; one leaf per composition.
-    def descend(slot: int, rem: int, exp: int, prod: int) -> None:
-        if slot == m - 1:
-            acc[(exp + slot * rem) % m] += prod * unit[rem]
-            return
-        for nk in range(rem + 1):
-            descend(
-                slot + 1,
-                rem - nk,
-                (exp + slot * nk) % m,
-                prod * unit[nk] * comb(2 * rem, 2 * nk),
-            )
-
-    descend(0, total, 0, 1)
+    L, unit = _scaled_blocks(total)
+    # states[rem][exp]: summed products over the slots placed so far
+    states = [[0] * m for _ in range(total + 1)]
+    states[total][0] = 1
+    for slot in range(m):
+        nxt = [[0] * m for _ in range(total + 1)]
+        for rem, by_exp in enumerate(states):
+            live = [(exp, v) for exp, v in enumerate(by_exp) if v]
+            if not live:
+                continue
+            # the last slot takes whatever is left
+            for nk in range(rem + 1) if slot < m - 1 else (rem,):
+                weight = unit[nk] * comb(2 * rem, 2 * nk)
+                target = nxt[rem - nk]
+                shift = slot * nk
+                for exp, v in live:
+                    target[(exp + shift) % m] += v * weight
+        states = nxt
     sign = -1 if (m * (n - 1)) % 2 else 1
     den = L**m * factorial(2 * total)
-    return CycloElem(m, tuple(Fraction(sign * a, den) for a in acc))
+    return CycloElem(m, tuple(Fraction(sign * a, den) for a in states[0]))
 
 
 def thmA_coefficient(m: int, n: int) -> Fraction:
@@ -189,15 +183,19 @@ def alpha(n: int) -> Fraction:
     sum_{n0 + n1 = 2n} (-1)^(n1) (2^{2 n0} - 2) B_{2 n0} / (2 n0)!
                                 (2^{2 n1} - 2) B_{2 n1} / (2 n1)!.
 
-    Each factor is a cosecant coefficient up to the sign (-1)^(n_k - 1);
-    with n0 + n1 even those two signs cancel.
+    Summed in integers over the shared denominator L^2 (4n)!, where
+    1 / ((2 n0)! (2 n1)!) becomes C(4n, 2 n1).  This is a direct sum, kept
+    apart from thmA(2, n): the two agree, and the relation routes of thmB and
+    thmC check one against the other.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return sum(
-        (-1) ** n1 * csc_coefficient(2 * n - n1) * csc_coefficient(n1)
+    L, unit = _scaled_blocks(2 * n)
+    total = sum(
+        (-1) ** n1 * unit[2 * n - n1] * unit[n1] * comb(4 * n, 2 * n1)
         for n1 in range(2 * n + 1)
     )
+    return Fraction(total, L**2 * factorial(4 * n))
 
 
 def thmB_coefficient(n: int) -> Fraction:

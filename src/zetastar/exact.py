@@ -1,18 +1,22 @@
 """Exact rational building blocks: Bernoulli numbers, cosecant Laurent
 coefficients, and values of the form q * pi^w.
 
-Everything here is computed with `fractions.Fraction`, which already provides
-arbitrary-precision rationals stored in lowest terms with a positive
-denominator. All values are immutable and all functions are pure, so the
-module is safe for concurrent use; the Bernoulli cache is an idempotent fill.
+Rationals are `fractions.Fraction`, which stores arbitrary-precision values
+in lowest terms with a positive denominator.  Bernoulli numbers are built
+from integer zigzag (tangent) numbers and only become Fractions at the end.
+All values are immutable and all functions are pure, so the module is safe
+for concurrent use: the one shared table, the Bernoulli cache, grows only
+under a lock and only by whole, finished extensions.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from itertools import accumulate
+from math import factorial
 
 __all__ = [
     "PiMultiple",
@@ -34,22 +38,42 @@ def parse_rational(s: str) -> Fraction:
 
 # Bernoulli numbers B_0, B_1, ... with the B_1 = -1/2 convention.  The odd
 # convention never matters downstream (only even indices are consumed), it is
-# fixed purely for determinism.
+# fixed purely for determinism.  `_zigzag_row` is the last row of the
+# Seidel-Entringer boustrophedon triangle reached so far: row r ends in the
+# zigzag number E_r, and B_2k needs the tangent number T_k = E_(2k-1).
 _bernoulli_cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+_zigzag_row: list[int] = [1]
+_bernoulli_lock = threading.Lock()
 
 
 def bernoulli(n: int) -> Fraction:
-    """B_n via the recurrence sum_{k=0}^{n} C(n+1,k) B_k = 0, memoized.
+    """B_n, memoized; B_1 = -1/2 and B_odd = 0 for odd n >= 3.
 
-    B_1 = -1/2; B_odd = 0 for odd n >= 3.
+    Even values come from integer tangent numbers (Brent and Harvey,
+    arXiv:1108.0286): B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).  Each new
+    T_k costs two boustrophedon rows, O(k) integer additions, so filling the
+    cache to n costs O(n^2) additions however the calls are spread.  An
+    extension is built in local variables and published under a lock, so
+    concurrent callers never see a partial or doubled fill.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be nonnegative")
     cache = _bernoulli_cache
-    while len(cache) <= n:
-        m = len(cache)
-        s = sum(comb(m + 1, k) * cache[k] for k in range(m))
-        cache.append(-s / (m + 1))
+    if n < len(cache):
+        return cache[n]
+    with _bernoulli_lock:
+        row = _zigzag_row
+        fill = []
+        for m in range(len(cache), n + 1):
+            if m % 2:
+                fill.append(Fraction(0))
+                continue
+            k = m // 2
+            while len(row) < m:  # advance to row 2k-1, which ends in T_k
+                row = list(accumulate(reversed(row), initial=0))
+            fill.append(Fraction((-1) ** (k - 1) * m * row[-1], 4**k * (4**k - 1)))
+        cache.extend(fill)
+        _zigzag_row[:] = row
     return cache[n]
 
 

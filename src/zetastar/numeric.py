@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .exact import PiMultiple
 from .words import HarmElem, Word, format_index, is_admissible
 
@@ -137,6 +135,8 @@ def _partial_sum(index: Word, n_cut: int, strict: bool) -> float:
     cached = _partial_cache.get(key)
     if cached is not None:
         return cached
+    import numpy as np  # here, not at module top: exact commands never load it
+
     m = np.arange(1.0, n_cut + 1)
     acc = np.cumsum(m ** float(-index[-1]))
     for k in index[-2::-1]:

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import zetastar
 from zetastar.cli import main
 from zetastar.exact import PiMultiple
 from zetastar.words import HarmElem
@@ -202,3 +207,34 @@ class TestDeterminism:
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+
+def _cli_in_fresh_process(*argv):
+    """Run `main(argv)` in a new interpreter; return its exit code and
+    whether numpy was loaded by then."""
+    src = str(Path(zetastar.__file__).resolve().parents[1])
+    code = (
+        "import sys, zetastar.cli\n"
+        f"code = zetastar.cli.main({list(argv)!r})\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = proc.stdout.split()[-2:]
+    return int(code), loaded == "True"
+
+
+class TestImportFootprint:
+    def test_exact_command_does_not_load_numpy(self):
+        argv = ("coeff", "thmA", "--m", "2", "--n", "2")
+        assert _cli_in_fresh_process(*argv) == (0, False)
+
+    def test_numeric_eval_loads_numpy(self):
+        argv = ("eval", "--index", "2", "--tol", "1e-6")
+        assert _cli_in_fresh_process(*argv) == (0, True)

@@ -5,7 +5,6 @@ import pytest
 
 from zetastar.closed_forms import (
     alpha,
-    compositions,
     euler_zeta_even,
     mzv_31_repeated,
     mzv_repeated_2m,
@@ -14,6 +13,7 @@ from zetastar.closed_forms import (
     thm1_C,
     thm3_sum,
     thmA_coefficient,
+    thmA_cyclo_sum,
     thmB_coefficient,
     thmB_via_relation,
     thmC_coefficient,
@@ -23,16 +23,6 @@ from zetastar.cyclotomic import CycloElem, cyclo_rational_value
 from zetastar.exact import PiMultiple, bernoulli
 
 F = Fraction
-
-
-class TestCompositions:
-    @pytest.mark.parametrize("total,slots", [(0, 1), (3, 1), (4, 2), (6, 3), (5, 4)])
-    def test_count_and_uniqueness(self, total, slots):
-        seen = list(compositions(total, slots))
-        assert len(seen) == comb(total + slots - 1, slots - 1)
-        assert len(set(seen)) == len(seen)
-        assert all(len(c) == slots and sum(c) == total for c in seen)
-        assert all(min(c) >= 0 for c in seen)
 
 
 class TestThm1:
@@ -70,9 +60,30 @@ class TestEuler:
             euler_zeta_even(0)
 
 
-def thmA_by_direct_fractions(m, n):
+def compositions(total, slots):
+    """Every tuple of `slots` nonnegative integers summing to `total`, in
+    lexicographic order."""
+    if slots == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, slots - 1):
+            yield (first,) + rest
+
+
+class TestCompositions:
+    @pytest.mark.parametrize("total,slots", [(0, 1), (3, 1), (4, 2), (6, 3), (5, 4)])
+    def test_count_and_uniqueness(self, total, slots):
+        seen = list(compositions(total, slots))
+        assert len(seen) == comb(total + slots - 1, slots - 1)
+        assert len(set(seen)) == len(seen)
+        assert all(len(c) == slots and sum(c) == total for c in seen)
+        assert all(min(c) >= 0 for c in seen)
+
+
+def thmA_group_ring_by_fractions(m, n):
     """Independent oracle: plain Fraction sum over materialized compositions,
-    accumulated in the group ring and reduced at the end."""
+    accumulated in the group ring Q[t]/(t^m - 1)."""
 
     def block(j):
         return F(2 ** (2 * j) - 2) * bernoulli(2 * j) / factorial(2 * j)
@@ -84,7 +95,12 @@ def thmA_by_direct_fractions(m, n):
             term *= block(nk)
         acc[sum(l * nl for l, nl in enumerate(comp)) % m] += term
     sign = F(-1) ** ((m * (n - 1)) % 2)
-    return cyclo_rational_value(CycloElem(m, tuple(sign * a for a in acc)))
+    return CycloElem(m, tuple(sign * a for a in acc))
+
+
+def thmA_by_direct_fractions(m, n):
+    """The oracle's group-ring sum, reduced to its rational value."""
+    return cyclo_rational_value(thmA_group_ring_by_fractions(m, n))
 
 
 class TestThmA:
@@ -102,10 +118,20 @@ class TestThmA:
             for n in range(5):
                 assert thmA_coefficient(m, n) == newton_h_oracle(m, n), (m, n)
 
+    @pytest.mark.parametrize("m,n", [(6, 5), (8, 3), (10, 2)])
+    def test_matches_homogeneous_oracle_large_m(self, m, n):
+        assert thmA_coefficient(m, n) == newton_h_oracle(m, n)
+
     def test_matches_direct_fraction_sum(self):
         for m in range(1, 4):
             for n in range(4):
                 assert thmA_coefficient(m, n) == thmA_by_direct_fractions(m, n), (m, n)
+
+    def test_group_ring_sum_before_reduction(self):
+        for m in range(1, 5):
+            for n in range(4):
+                expected = thmA_group_ring_by_fractions(m, n)
+                assert thmA_cyclo_sum(m, n) == expected, (m, n)
 
     def test_positive(self):
         for m in range(1, 5):
@@ -134,7 +160,7 @@ class TestAlpha:
         def block(j):
             return F(2 ** (2 * j) - 2) * bernoulli(2 * j) / factorial(2 * j)
 
-        for n in range(5):
+        for n in range(13):
             direct = sum(
                 F(-1) ** n1 * block(n0) * block(n1)
                 for n0 in range(2 * n + 1)

@@ -1,10 +1,13 @@
+import sys
+import threading
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zetastar import exact
 from zetastar.exact import (
     PiMultiple,
     bernoulli,
@@ -21,6 +24,10 @@ def bernoulli_akiyama_tanigawa(n):
         for j in range(m, 0, -1):
             row[j - 1] = j * (row[j - 1] - row[j])
     return row[0]
+
+
+def is_prime(p):
+    return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
 
 
 class TestBernoulli:
@@ -42,6 +49,42 @@ class TestBernoulli:
             if n == 1:
                 expected = -expected  # convention difference, even terms agree
             assert bernoulli(n) == expected
+
+    def test_defining_recurrence(self):
+        values = [bernoulli(k) for k in range(201)]
+        for n in range(1, 201):
+            assert sum(comb(n + 1, k) * values[k] for k in range(n + 1)) == 0, n
+
+    def test_b400_von_staudt_clausen_and_sign(self):
+        b = bernoulli(400)
+        primes = [p for p in range(2, 402) if is_prime(p) and 400 % (p - 1) == 0]
+        assert (b + sum(Fraction(1, p) for p in primes)).denominator == 1
+        assert b < 0  # sign (-1)^(k+1) for B_2k, k = 200
+
+    def test_concurrent_fill_from_empty_cache(self, monkeypatch):
+        expected = [bernoulli(k) for k in range(301)]  # serial fill
+        monkeypatch.setattr(exact, "_bernoulli_cache", [Fraction(1), Fraction(-1, 2)])
+        monkeypatch.setattr(exact, "_zigzag_row", [1])
+        start = threading.Barrier(4, timeout=30)
+        results = [None] * 4
+
+        def worker(i):
+            start.wait()
+            results[i] = bernoulli(300)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected[300]] * 4
+        assert exact._bernoulli_cache == expected
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
