@@ -240,18 +240,37 @@ def thmC_coefficient(n: int) -> Fraction:
     """The rational q with sum over the 2-insertion set of zeta-star values
     equal to q pi^(4n+2):
     sum_k { 2^(4k+3) B_{4k+2}/(4k+2)! sum_i alpha(n-k-i)/(4i+2)!
-            - alpha(n-k)/(4k+3)! }."""
+            - alpha(n-k)/(4k+3)! }.
+
+    Summed in integers over one shared denominator, as :func:`alpha` is.
+    With A the lcm of the alpha(j) denominators (j <= n), every inner sum
+    sits over A (4n+2)!, where 1/(4i+2)! becomes the integer (4n+2)!/(4i+2)!;
+    with L the lcm of the Bernoulli denominators, the whole sum sits over
+    L A (4n+2)! (4n+3)!.  Each inner sum depends only on j = n - k and is
+    formed once.  This is a direct sum, kept apart from thmB so that
+    :func:`thmC_via_relation` stays a second route.
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    total = Fraction(0)
-    for k in range(n + 1):
-        inner = sum(
-            alpha(n - k - i) / factorial(4 * i + 2) for i in range(n - k + 1)
-        )
+    alphas = [alpha(j) for j in range(n + 1)]
+    A = lcm(*(a.denominator for a in alphas))
+    scaled = [a.numerator * (A // a.denominator) for a in alphas]
+    top = factorial(4 * n + 2)
+    weights = [top // factorial(4 * i + 2) for i in range(n + 1)]
+    bern = [bernoulli(4 * k + 2) for k in range(n + 1)]
+    L = lcm(*(b.denominator for b in bern))
+    last = factorial(4 * n + 3)
+    total = 0
+    for k, b in enumerate(bern):
+        j = n - k
+        # A (4n+2)! sum_i alpha(j-i)/(4i+2)!
+        inner = sum(scaled[j - i] * weights[i] for i in range(j + 1))
         total += (
-            Fraction(2 ** (4 * k + 3)) * bernoulli(4 * k + 2) / factorial(4 * k + 2)
-        ) * inner - alpha(n - k) / factorial(4 * k + 3)
-    return total
+            2 ** (4 * k + 3) * b.numerator * (L // b.denominator)
+            * (last // factorial(4 * k + 2)) * inner
+        )
+        total -= scaled[j] * L * top * (last // factorial(4 * k + 3))
+    return Fraction(total, L * A * top * last)
 
 
 def thmC_via_relation(n: int) -> Fraction:

@@ -3,10 +3,14 @@ expansion map that rewrites a zeta-star value as a sum of plain zeta words.
 
 A word is a tuple of positive integers (k_1, ..., k_n) standing for the
 monomial z_{k_1} ... z_{k_n}; the empty tuple is the unit.  A
-:class:`HarmElem` is a finite rational linear combination of words, kept in
-canonical sparse form (no zero coefficients), so equality of elements is
-plain equality of the term maps.  Words order lexicographically by their
-part sequences and all rendered output is sorted that way.
+:class:`HarmElem` is a finite rational linear combination of words, stored
+as integer numerators over one shared denominator in lowest terms (no zero
+numerators, no factor common to the denominator and every numerator).  That
+form is canonical, so equality of elements is plain equality of the
+denominators and the numerator maps, and the stuffle product and the merge
+expansion run on integers; coefficients become Fractions only on the way
+out.  Words order lexicographically by their part sequences and all
+rendered output is sorted that way.
 
 Everything is immutable and pure; the internal caches are idempotent fills,
 so concurrent use is safe.
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
 from .exact import parse_rational
@@ -70,8 +75,8 @@ class ParseError(ValueError):
 def parse_index(s: str) -> Word:
     """Parse comma-separated positive integers, whitespace tolerated.
 
-    Rejects empty input, empty parts (so also trailing commas), zeros and
-    negative numbers.
+    Rejects empty input, empty parts (so also trailing commas), zeros,
+    negative numbers and digits outside ASCII 0-9.
     """
     if not s.strip():
         raise ParseError("empty index", 1)
@@ -80,7 +85,7 @@ def parse_index(s: str) -> Word:
         chunk = chunk.strip()
         if not chunk:
             raise ParseError("empty part", pos)
-        if not chunk.isdigit():
+        if not (chunk.isascii() and chunk.isdigit()):
             raise ParseError(f"not a positive integer: {chunk!r}", pos)
         value = int(chunk)
         if value < 1:
@@ -94,9 +99,17 @@ def format_index(word: Word) -> str:
 
 
 class HarmElem:
-    """A finite Q-linear combination of words."""
+    """A finite Q-linear combination of words.
 
-    __slots__ = ("_terms",)
+    Stored as integer numerators over one shared positive denominator, in
+    lowest terms: ``_num`` maps each word to a nonzero int, ``_den`` is >= 1,
+    and the gcd of ``_den`` with every numerator is 1 (the zero element is
+    ``{}`` over 1).  That form is canonical, so equality compares the
+    denominators and the numerator maps.  ``items`` and ``coeff`` hand the
+    coefficients out as Fractions.
+    """
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[Word, Fraction] | None = None) -> None:
         clean: dict[Word, Fraction] = {}
@@ -105,7 +118,14 @@ class HarmElem:
                 coeff = Fraction(coeff)
                 if coeff:
                     clean[tuple(word)] = coeff
-        self._terms = clean
+        # Over the lcm of the reduced denominators this is already in lowest
+        # terms: for each prime p of den, the term whose denominator holds p's
+        # full power keeps a numerator prime to p.
+        den = lcm(*(c.denominator for c in clean.values()))
+        self._num = {
+            w: c.numerator * (den // c.denominator) for w, c in clean.items()
+        }
+        self._den = den
 
     @classmethod
     def zero(cls) -> "HarmElem":
@@ -121,19 +141,20 @@ class HarmElem:
 
     def items(self) -> list[tuple[Word, Fraction]]:
         """Terms sorted by word in the canonical (descending) output order."""
-        return sorted(self._terms.items(), reverse=True)
+        num, den = self._num, self._den
+        return [(w, Fraction(num[w], den)) for w in sorted(num, reverse=True)]
 
     def words(self) -> list[Word]:
-        return sorted(self._terms, reverse=True)
+        return sorted(self._num, reverse=True)
 
     def coeff(self, word: Word) -> Fraction:
-        return self._terms.get(tuple(word), Fraction(0))
+        return Fraction(self._num.get(tuple(word), 0), self._den)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __iter__(self) -> Iterator[Word]:
         return iter(self.words())
@@ -141,26 +162,24 @@ class HarmElem:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HarmElem):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __add__(self, other: "HarmElem") -> "HarmElem":
         if not isinstance(other, HarmElem):
             return NotImplemented
-        acc = dict(self._terms)
-        for word, coeff in other._terms.items():
-            new = acc.get(word, _ZERO) + coeff
+        den = lcm(self._den, other._den)
+        scale, other_scale = den // self._den, den // other._den
+        acc = {w: c * scale for w, c in self._num.items()}
+        for word, coeff in other._num.items():
+            new = acc.get(word, 0) + coeff * other_scale
             if new:
                 acc[word] = new
             else:
-                acc.pop(word, None)
-        out = HarmElem.__new__(HarmElem)
-        out._terms = acc
-        return out
+                del acc[word]
+        return _elem(acc, den)
 
     def __neg__(self) -> "HarmElem":
-        out = HarmElem.__new__(HarmElem)
-        out._terms = {w: -c for w, c in self._terms.items()}
-        return out
+        return _elem({w: -c for w, c in self._num.items()}, self._den)
 
     def __sub__(self, other: "HarmElem") -> "HarmElem":
         if not isinstance(other, HarmElem):
@@ -173,15 +192,17 @@ class HarmElem:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return HarmElem.zero()
-            out = HarmElem.__new__(HarmElem)
-            out._terms = {w: c * other for w, c in self._terms.items()}
-            return out
+            q = Fraction(other)
+            top = q.numerator
+            return _elem(
+                {w: c * top for w, c in self._num.items()}, self._den * q.denominator
+            )
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         chunks = []
         for word, coeff in self.items():
@@ -202,7 +223,7 @@ class HarmElem:
         return out
 
     def __repr__(self) -> str:
-        return f"HarmElem({self._terms!r})"
+        return f"HarmElem({dict(self.items())!r})"
 
     def to_json_obj(self) -> list[dict]:
         return [
@@ -215,11 +236,22 @@ class HarmElem:
         acc: dict[Word, Fraction] = {}
         for entry in obj:
             word = tuple(int(k) for k in entry["word"])
-            acc[word] = acc.get(word, _ZERO) + parse_rational(entry["coeff"])
+            acc[word] = acc.get(word, 0) + parse_rational(entry["coeff"])
         return cls(acc)
 
 
-_ZERO = Fraction(0)
+def _elem(num: dict[Word, int], den: int) -> HarmElem:
+    """Wrap nonzero integer numerators over a positive denominator, cancelling
+    their common factor with it (none is possible when den is 1)."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {w: c // g for w, c in num.items()}
+    out = HarmElem.__new__(HarmElem)
+    out._num = num
+    out._den = den
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -248,20 +280,19 @@ def _stuffle_words(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
 
 
 def harmonic_product(u: HarmElem, v: HarmElem) -> HarmElem:
-    """Bilinear extension of the stuffle recursion to linear combinations."""
-    acc: dict[Word, Fraction] = {}
-    for w1, c1 in u._terms.items():
-        for w2, c2 in v._terms.items():
+    """Bilinear extension of the stuffle recursion to linear combinations.
+
+    Runs on the integer numerators: each pair of terms adds its numerator
+    product times the word multiplicities, and the result is reduced once
+    over the product of the two denominators.
+    """
+    acc: dict[Word, int] = {}
+    for w1, c1 in u._num.items():
+        for w2, c2 in v._num.items():
             c12 = c1 * c2
             for word, mult in _stuffle_words(w1, w2):
-                new = acc.get(word, _ZERO) + c12 * mult
-                if new:
-                    acc[word] = new
-                else:
-                    acc.pop(word, None)
-    out = HarmElem.__new__(HarmElem)
-    out._terms = acc
-    return out
+                acc[word] = acc.get(word, 0) + c12 * mult
+    return _elem({word: c for word, c in acc.items() if c}, u._den * v._den)
 
 
 @lru_cache(maxsize=None)
@@ -272,21 +303,20 @@ def s_map(word: Word) -> HarmElem:
     S(z_{k_1} ... z_{k_n}) = sum_j z_{k_1 + ... + k_j} S(z_{k_{j+1}} ... z_{k_n}),
     with S(1) = 1.  Every image word keeps coefficient +1, weight is
     preserved, and admissible input yields only admissible image words.
-    Memoized on suffixes, so repeated expansion is linear in the output size.
+    The image words are distinct (their first parts differ between blocks),
+    so each is stored with numerator 1 and nothing is added.  Memoized on
+    suffixes, so repeated expansion is linear in the output size.
     """
     word = tuple(word)
     if not word:
         return HarmElem.one()
-    acc: dict[Word, Fraction] = {}
+    images: list[Word] = []
     running = 0
     for j in range(1, len(word) + 1):
         running += word[j - 1]
-        for tail, coeff in s_map(word[j:])._terms.items():
-            key = (running,) + tail
-            acc[key] = acc.get(key, _ZERO) + coeff
-    out = HarmElem.__new__(HarmElem)
-    out._terms = acc
-    return out
+        head = (running,)
+        images.extend([head + tail for tail in s_map(word[j:])._num])
+    return _elem(dict.fromkeys(images, 1), 1)
 
 
 def word_to_xy(word: Word) -> str:
@@ -340,11 +370,11 @@ def s_map_via_s1(word: Word) -> HarmElem:
     if not word:
         raise ValueError("empty word has no trailing y")
     xy = word_to_xy(word)
-    acc: dict[Word, Fraction] = {}
+    acc: dict[Word, int] = {}
     for image in s1_substitute(xy[:-1]):
         key = xy_to_word(image + "y")
-        acc[key] = acc.get(key, _ZERO) + 1
-    return HarmElem(acc)
+        acc[key] = acc.get(key, 0) + 1
+    return _elem(acc, 1)
 
 
 def insertions(n: int) -> list[Word]:

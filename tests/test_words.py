@@ -49,6 +49,17 @@ def as_dict(elem):
     return {w: c for w, c in elem.items()}
 
 
+def stuffle_of_combinations(u, v):
+    """Reference product of two {word: Fraction} maps: the bilinear extension
+    of the lattice-path oracle, summed in Fractions, zero terms dropped."""
+    acc = {}
+    for w1, c1 in u.items():
+        for w2, c2 in v.items():
+            for word, mult in stuffle_by_lattice_paths(w1, w2).items():
+                acc[word] = acc.get(word, 0) + c1 * c2 * mult
+    return {w: c for w, c in acc.items() if c}
+
+
 class TestWordBasics:
     def test_weight_depth(self):
         assert weight((3, 1, 3, 1)) == 8 and depth((3, 1, 3, 1)) == 4
@@ -71,7 +82,11 @@ class TestParseIndex:
 
     @pytest.mark.parametrize(
         "bad,pos",
-        [("3,0,1", 2), ("", 1), ("3,1,", 3), (",2", 1), ("2,-1", 2), ("a,b", 1)],
+        [
+            ("3,0,1", 2), ("", 1), ("3,1,", 3), (",2", 1), ("2,-1", 2), ("a,b", 1),
+            # a superscript two and an Arabic-Indic three are Unicode digits
+            ("2,\u00b2", 2), ("\u0663,1", 1),
+        ],
     )
     def test_rejects(self, bad, pos):
         with pytest.raises(ParseError) as err:
@@ -173,6 +188,7 @@ class TestAlgebraProperties:
             return out
 
         u, v, w = elem("u"), elem("v"), elem("w")
+        assert as_dict(u * v) == stuffle_of_combinations(as_dict(u), as_dict(v))
         assert u * v == v * u
         assert (u * v) * w == u * (v * w)
 
@@ -309,6 +325,10 @@ class TestInsertions:
             insertions(0)
 
 
+# coefficients over the denominators 6, 4, 9 and 1
+MIXED = HarmElem({(2,): F(1, 6), (3, 1): F(-3, 4), (1, 1): F(2, 9), (4,): 5})
+
+
 class TestHarmElem:
     def test_rendering(self):
         assert str(s_map((3, 1))) == "z4 + z3 z1"
@@ -324,6 +344,7 @@ class TestHarmElem:
     def test_json_round_trip(self):
         elem = HarmElem.from_word((2, 1), F(-3, 7)) + HarmElem.from_word((3,), 5)
         assert HarmElem.from_json_obj(elem.to_json_obj()) == elem
+        assert HarmElem.from_json_obj(MIXED.to_json_obj()) == MIXED
 
     def test_json_sorted_canonically(self):
         elem = s_map((3, 1))
@@ -333,14 +354,24 @@ class TestHarmElem:
         elem = HarmElem({(2,): F(1)}) - HarmElem({(2,): F(1)})
         assert elem == HarmElem.zero()
         assert len(elem) == 0
+        assert MIXED - MIXED == HarmElem.zero()
+
+    def test_equal_fractions_give_equal_elements(self):
+        assert HarmElem({(2, 1): F(2, 4)}) == HarmElem({(2, 1): F(1, 2)})
+        assert HarmElem({(2,): F(3, 3)}) == HarmElem.from_word((2,))
 
     def test_scalar_multiplication(self):
         elem = HarmElem.from_word((2,), 3)
         assert 2 * elem == HarmElem.from_word((2,), 6)
         assert elem * F(1, 3) == HarmElem.from_word((2,))
         assert 0 * elem == HarmElem.zero()
+        assert (MIXED * F(1, 3)) * 3 == MIXED
 
     def test_coeff_lookup(self):
         elem = s_map((3, 1))
         assert elem.coeff((4,)) == 1
         assert elem.coeff((9,)) == 0
+        for elem in (s_map((3, 1)), MIXED, MIXED * MIXED):
+            assert all(type(c) is Fraction for _, c in elem.items())
+            assert all(type(elem.coeff(w)) is Fraction for w in elem)
+            assert type(elem.coeff((9,))) is Fraction
