@@ -12,8 +12,10 @@ expansion run on integers; coefficients become Fractions only on the way
 out.  Words order lexicographically by their part sequences and all
 rendered output is sorted that way.
 
-Everything is immutable and pure; the internal caches are idempotent fills,
-so concurrent use is safe.
+Everything is immutable and pure.  The stuffle of two words and the merge
+expansion of a word are memoized whole, per top-level argument, in
+process-wide caches; their sub-results live only for one call.  Filling a
+cache is idempotent, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -106,15 +108,20 @@ class HarmElem:
     and the gcd of ``_den`` with every numerator is 1 (the zero element is
     ``{}`` over 1).  That form is canonical, so equality compares the
     denominators and the numerator maps.  ``items`` and ``coeff`` hand the
-    coefficients out as Fractions.
+    coefficients out as Fractions.  Coefficients come in as ints or
+    Fractions; anything else, a float included, raises TypeError.
     """
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, terms: Mapping[Word, Fraction] | None = None) -> None:
+    def __init__(self, terms: Mapping[Word, Fraction | int] | None = None) -> None:
         clean: dict[Word, Fraction] = {}
         if terms:
             for word, coeff in terms.items():
+                if not isinstance(coeff, (int, Fraction)):
+                    # a float would be stored as its exact binary fraction
+                    kind = type(coeff).__name__
+                    raise TypeError(f"coefficient must be int or Fraction, got {kind}")
                 coeff = Fraction(coeff)
                 if coeff:
                     clean[tuple(word)] = coeff
@@ -137,7 +144,7 @@ class HarmElem:
 
     @classmethod
     def from_word(cls, word: Iterable[int], coeff: Fraction | int = 1) -> "HarmElem":
-        return cls({tuple(word): Fraction(coeff)})
+        return cls({tuple(word): coeff})
 
     def items(self) -> list[tuple[Word, Fraction]]:
         """Terms sorted by word in the canonical (descending) output order."""
@@ -256,27 +263,38 @@ def _elem(num: dict[Word, int], den: int) -> HarmElem:
 
 @lru_cache(maxsize=None)
 def _stuffle_words(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
-    """Harmonic product of two bare words, as (word, multiplicity) pairs.
+    """Harmonic product of two bare words, as (word, multiplicity) pairs in
+    no particular order.
 
     Recursion: z_p w1 * z_q w2 = z_p (w1 * z_q w2) + z_q (z_p w1 * w2)
-    + z_{p+q} (w1 * w2), with the empty word as two-sided unit.
+    + z_{p+q} (w1 * w2), with the empty word as two-sided unit.  It runs
+    bottom-up over the suffix positions (i, j) of u and v, two rows of the
+    table at a time, so the sub-products live only for this call.  Within
+    each of the three groups the words are distinct and z_{p+q} differs from
+    z_p and z_q, so multiplicities add only where p == q.
     """
     if not u:
         return ((v, 1),)
     if not v:
         return ((u, 1),)
-    acc: dict[Word, int] = {}
-    p, q = u[0], v[0]
-    for word, mult in _stuffle_words(u[1:], v):
-        key = (p,) + word
-        acc[key] = acc.get(key, 0) + mult
-    for word, mult in _stuffle_words(u, v[1:]):
-        key = (q,) + word
-        acc[key] = acc.get(key, 0) + mult
-    for word, mult in _stuffle_words(u[1:], v[1:]):
-        key = (p + q,) + word
-        acc[key] = acc.get(key, 0) + mult
-    return tuple(sorted(acc.items()))
+    m = len(v)
+    below = [{v[j:]: 1} for j in range(m + 1)]
+    for i in range(len(u) - 1, -1, -1):
+        p = u[i]
+        row = [None] * m + [{u[i:]: 1}]
+        for j in range(m - 1, -1, -1):
+            q = v[j]
+            cell = {(p,) + w: c for w, c in below[j].items()}
+            if p == q:
+                for w, c in row[j + 1].items():
+                    key = (p,) + w
+                    cell[key] = cell.get(key, 0) + c
+            else:
+                cell.update({(q,) + w: c for w, c in row[j + 1].items()})
+            cell.update({(p + q,) + w: c for w, c in below[j + 1].items()})
+            row[j] = cell
+        below = row
+    return tuple(below[0].items())
 
 
 def harmonic_product(u: HarmElem, v: HarmElem) -> HarmElem:
@@ -304,19 +322,21 @@ def s_map(word: Word) -> HarmElem:
     with S(1) = 1.  Every image word keeps coefficient +1, weight is
     preserved, and admissible input yields only admissible image words.
     The image words are distinct (their first parts differ between blocks),
-    so each is stored with numerator 1 and nothing is added.  Memoized on
-    suffixes, so repeated expansion is linear in the output size.
+    so each is stored with numerator 1 and nothing is added.  The images of
+    the suffixes are built in one loop from the shortest up and dropped on
+    return, so an expansion costs time linear in its output size.
     """
     word = tuple(word)
-    if not word:
-        return HarmElem.one()
-    images: list[Word] = []
-    running = 0
-    for j in range(1, len(word) + 1):
-        running += word[j - 1]
-        head = (running,)
-        images.extend([head + tail for tail in s_map(word[j:])._num])
-    return _elem(dict.fromkeys(images, 1), 1)
+    n = len(word)
+    images: list[list[Word]] = [[] for _ in range(n)] + [[()]]
+    for i in range(n - 1, -1, -1):
+        out = images[i]
+        running = 0
+        for j in range(i, n):
+            running += word[j]
+            head = (running,)
+            out.extend([head + tail for tail in images[j + 1]])
+    return _elem(dict.fromkeys(images[0], 1), 1)
 
 
 def word_to_xy(word: Word) -> str:

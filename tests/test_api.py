@@ -39,3 +39,14 @@ def test_package_exports_every_module_name():
 def test_out_of_range_arguments_raise_value_error(fn, args):
     with pytest.raises(ValueError):
         fn(*args)
+
+
+def test_internals_read_by_the_benchmark_tracer():
+    # perfbench/tracer.py:counters reads these four internals and reports
+    # None for any that is gone; delete this test once it reads a stats
+    # stream instead.
+    for cached in (words._stuffle_words, words.s_map):
+        info = cached.cache_info()
+        assert all(type(n) is int for n in (info.currsize, info.hits, info.misses))
+    assert len(exact._bernoulli_cache) >= 2
+    assert type(len(numeric._partial_cache)) is int

@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction
 from itertools import product
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetastar import words as words_module
 from zetastar.words import (
     HarmElem,
     ParseError,
@@ -128,11 +131,16 @@ class TestHarmonicProduct:
 
     def test_against_lattice_paths(self):
         words = [(), (2,), (1, 1), (2, 1), (3, 1, 2), (1, 2, 1)]
-        for u in words:
-            for v in words:
-                got = as_dict(HarmElem.from_word(u) * HarmElem.from_word(v))
-                oracle = stuffle_by_lattice_paths(u, v)
-                assert got == oracle, (u, v)
+        pairs = [(u, v) for u in words for v in words]
+        # heads equal and unequal at every suffix position of the product
+        ones_twos = [w for d in range(4) for w in product((1, 2), repeat=d)]
+        pairs += [(u, v) for u in ones_twos for v in ones_twos]
+        deep = ((1, 1, 2, 1, 1), (2, 1, 2, 2, 1))
+        pairs += [deep, deep[::-1]]
+        for u, v in pairs:
+            got = as_dict(HarmElem.from_word(u) * HarmElem.from_word(v))
+            oracle = stuffle_by_lattice_paths(u, v)
+            assert got == oracle, (u, v)
 
     def test_bilinearity(self):
         u = HarmElem.from_word((2,), 3) + HarmElem.from_word((1, 1), F(-1, 2))
@@ -214,10 +222,13 @@ class TestSMap:
         assert s_map(()) == HarmElem.one()
 
     def test_image_size_and_coefficients(self):
-        for word in [(2, 1), (1, 1, 1, 1), (3, 1, 3, 1), (2, 2, 2, 1, 1)]:
+        long_words = [(1, 2, 3) * 4 + (2, 1), (2,) * 13]
+        for word in [(2, 1), (1, 1, 1, 1), (3, 1, 3, 1), (2, 2, 2, 1, 1)] + long_words:
             elem = s_map(word)
             assert len(elem) == 2 ** (len(word) - 1)
             assert all(c == 1 for _, c in elem.items())
+        for word in long_words:
+            assert s_map(word) == s_map_via_s1(word), word
 
     def test_weight_preserved(self):
         for word in [(4, 2), (1, 2, 3), (3, 1, 3, 1)]:
@@ -226,6 +237,39 @@ class TestSMap:
     def test_admissible_preserved(self):
         for word in [(2, 1, 1), (3, 1, 3, 1), (4, 1, 2)]:
             assert all(is_admissible(w) for w in s_map(word))
+
+
+class TestConcurrentUse:
+    def test_concurrent_fill_from_empty_caches(self):
+        pairs = [((2, 1, 3), (1, 2)), ((1, 1, 2, 1), (2, 1, 1)), ((3, 1, 3, 1), (2, 2))]
+        merged = [(1, 2, 3) * 3, (2, 1) * 4, (3, 1, 1, 2, 2, 1, 3)]
+
+        def work():
+            products = [HarmElem.from_word(u) * HarmElem.from_word(v) for u, v in pairs]
+            return products + [s_map(w) for w in merged]
+
+        expected = work()  # serial run
+        words_module._stuffle_words.cache_clear()
+        s_map.cache_clear()
+        start = threading.Barrier(4, timeout=30)
+        results = [None] * 4
+
+        def worker(i):
+            start.wait()
+            results[i] = work()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * 4
 
 
 class TestXYWords:
@@ -359,6 +403,16 @@ class TestHarmElem:
     def test_equal_fractions_give_equal_elements(self):
         assert HarmElem({(2, 1): F(2, 4)}) == HarmElem({(2, 1): F(1, 2)})
         assert HarmElem({(2,): F(3, 3)}) == HarmElem.from_word((2,))
+
+    def test_rejects_non_rational_coefficients(self):
+        # a float would be stored as its binary fraction, 0.1 as n / 2^55
+        for bad in (0.1, 1e-300, 1.0, "1/2"):
+            with pytest.raises(TypeError):
+                HarmElem.from_word((2,), bad)
+            with pytest.raises(TypeError):
+                HarmElem({(2,): bad})
+        parsed = HarmElem.from_json_obj([{"word": [2], "coeff": "1/10"}])
+        assert parsed == HarmElem.from_word((2,), F(1, 10))
 
     def test_scalar_multiplication(self):
         elem = HarmElem.from_word((2,), 3)
