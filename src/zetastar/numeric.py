@@ -1,33 +1,35 @@
-"""Floating-point evaluation of nested zeta sums with certified error bounds.
+"""Certified evaluation of multiple zeta and zeta-star values.
 
-Evaluation truncates the outer summation variable at a cutoff N and runs a
-dynamic program over the levels: the partial sums of the inner variables are
-reused across outer increments, so the total work is O(N * depth) regardless
-of depth (implemented as one cumulative-sum pass per level with numpy).
+Hoelder convolution at t = 1/2 (Borwein, Bradley, Broadhurst and Lisonek,
+Trans. AMS 353, 2001).  An index is a word in x = dt/t and y = dt/(1-t)
+(:func:`~zetastar.words.word_to_xy`); a star value turns every y but the
+last into z = x + y.  Splitting the integral over [0, 1] at 1/2 gives
 
-The truncation error is controlled by an elementary integral comparison on
-the outer variable.  For an index (k_1, ..., k_d) with t ones among the
-inner exponents, the inner sums at outer value m are at most
-C (1 + ln m)^t, with C the product of k/(k-1) over the inner exponents
-k >= 2 (and an extra 1/t! in the strictly-decreasing case, because the
-positions carrying exponent 1 are pairwise distinct there).  The tail is
-then at most C times the integral of (1 + ln x)^t x^(-k_1) from N, which a
-short integration-by-parts recursion evaluates exactly.  For depth 1 the
-summand is monotone, so a two-sided integral bracket applies and the
-midpoint is returned with the half-width as the bound.  Reported bounds add
-a worst-case float rounding allowance on top of the truncation term.
+    zeta(w) = sum_j lambda(swap(reverse(w[:j]))) lambda(w[j:]),
 
-Values are bitwise deterministic for a fixed index and tolerance: the cutoff
-ladder is fixed and summation order is ascending.
+with lambda the integral over [0, 1/2] and swap exchanging x and y.  Each
+family is the suffixes of one word, found in one sweep of the series
+lambda = sum f_n 2^-n: the innermost y gives f_n = 1/n, x divides f_n by n,
+y gives (1/n) sum_{m<n} f_m and z (1/n) sum_{m<=n} f_m.
+
+Sweeps run in integers scaled by 2^P, rounded down and up: an exact
+bracket.  With k the y and z letters above the innermost, f_n <=
+(1 + ln n)^k / n, and from n = 2k on the bound shrinks by e^(1/2)/2 < 5/6
+a step, so the tail past N is at most 6 (1 + ln(N+1))^k / ((N+1) 2^(N+1)),
+with ln n < n.bit_length().  N is the first cutoff putting that under
+2^-P; `max_terms` caps it.  A float result raises P by fixed steps until the
+bracket is at most tol/2 wide, and rounds its midpoint; the bound adds that
+rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .exact import PiMultiple
-from .words import HarmElem, Word, format_index, is_admissible
+from .words import HarmElem, Word, format_index, is_admissible, word_to_xy
 
 __all__ = [
     "DEFAULT_MAX_TERMS",
@@ -38,16 +40,20 @@ __all__ = [
     "mzsv_numeric",
     "mzv_numeric",
     "pi_multiple_numeric",
+    "zeta_interval",
 ]
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_TERMS = 10_000_000
 
 _EPS = 2.220446049250313e-16  # float64 machine epsilon, used generously
+_STEP = 16  # bits: P's margin over the tolerance, and its increment
+_MAX_PREC = 4096
+_SWAP = str.maketrans("xy", "yx")
 
 
 class ToleranceUnreachable(ArithmeticError):
-    """No cutoff within the term cap brings the tail bound under tolerance."""
+    """No bracket within the term cap brings the error bound under tolerance."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,90 +73,54 @@ class NumericValue:
         }
 
 
-def _log_weight(index: Word) -> tuple[int, float]:
-    """(t, C): the count of inner exponents equal to 1 and the product of
-    k/(k-1) over the inner exponents k >= 2."""
-    t = 0
-    c = 1.0
-    for k in index[1:]:
-        if k == 1:
-            t += 1
-        else:
-            c *= k / (k - 1)
-    return t, c
+def _letters(index: Word, strict: bool) -> str:
+    """The admissible index as a word in x, y and z, outermost first."""
+    if not is_admissible(index):
+        raise ValueError(
+            f"index {format_index(index)} is not admissible "
+            "(the leading part must be >= 2)"
+        )
+    xy = word_to_xy(index)
+    return xy if strict else xy[:-1].replace("y", "z") + xy[-1:]
 
 
-def _tail_bound(index: Word, n_cut: int, strict: bool) -> float:
-    """Upper bound on the discarded tail beyond outer cutoff `n_cut`."""
-    k1 = index[0]
-    if len(index) == 1:
-        # half-width of the two-sided integral bracket (monotone summand)
-        hi = n_cut ** (1 - k1) / (k1 - 1)
-        lo = (n_cut + 1) ** (1 - k1) / (k1 - 1)
-        return (hi - lo) / 2
-    t, c = _log_weight(index)
-    logn = 1.0 + math.log(n_cut)
-    if t >= k1 * logn:
-        return math.inf  # integrand not yet decreasing; cutoff too small
-    # I_j = integral from n_cut to infinity of (1 + ln x)^j x^(-k1) dx
-    integral = n_cut ** (1 - k1) / (k1 - 1)
-    for j in range(1, t + 1):
-        integral = (logn**j) * n_cut ** (1 - k1) / (k1 - 1) + j * integral / (k1 - 1)
-    if strict:
-        integral /= math.factorial(t)
-    return c * integral
+def _sweep(word: str, prec: int, max_terms: int) -> list[tuple[int, int]]:
+    """[lo, hi] around 2^prec lambda(s) for each suffix s of `word`, indexed
+    by the length of s."""
+    k = len(word) - word.count("x") - 1
+    m = max(2 * k, prec - prec.bit_length()) + 1  # N + 1; no smaller N can do
+    while 6 * (1 + m.bit_length()) ** k << prec > m << m:
+        m += 1
+    if m > max_terms + 1:
+        raise ToleranceUnreachable(f"tolerance needs {m - 1} terms, cap {max_terms}")
+    ns = range(1, m)
+    sums = []
+    for one in (1 << prec, -1 << prec):  # f_n, then -f_n, rounded down
+        fs = [one // n for n in ns]
+        lam = [sum(f >> n for n, f in zip(ns, fs))]
+        for letter in word[-2::-1]:
+            if letter != "x":
+                acc, inner, fs = 0, fs, []
+                for f in inner:
+                    acc += f
+                    fs.append(acc if letter == "z" else acc - f)
+            fs = [f // n for n, f in zip(ns, fs)]
+            lam.append(sum(f >> n for n, f in zip(ns, fs)))
+        sums.append(lam)
+    # the empty suffix is exact; the upper ends add the tail, at most one unit
+    return [(1 << prec,) * 2] + [(a, 1 - b) for a, b in zip(*sums)]
 
 
-def _tail_midpoint(index: Word, n_cut: int) -> float:
-    """Centre of the depth-1 integral bracket, added to the partial sum."""
-    k1 = index[0]
-    hi = n_cut ** (1 - k1) / (k1 - 1)
-    lo = (n_cut + 1) ** (1 - k1) / (k1 - 1)
-    return (hi + lo) / 2
-
-
-def _choose_cutoff(index: Word, tol: float, strict: bool, max_terms: int) -> int:
-    """Smallest rung of the fixed ladder whose tail bound meets `tol`."""
-    ladder = []
-    n = 1024
-    while n < max_terms:
-        ladder.append(n)
-        n *= 4
-    ladder.append(max_terms)
-    for n_cut in ladder:
-        if _tail_bound(index, n_cut, strict) <= tol:
-            return n_cut
-    raise ToleranceUnreachable(
-        f"tail bound {_tail_bound(index, max_terms, strict):.3e} at the "
-        f"{max_terms}-term cap exceeds tolerance {tol:.3e} for index {index}"
-    )
-
-
-_partial_cache: dict[tuple[Word, int, bool], float] = {}
-
-
-def _partial_sum(index: Word, n_cut: int, strict: bool) -> float:
-    """The truncated nested sum with outer variable at most `n_cut`."""
-    key = (index, n_cut, strict)
-    cached = _partial_cache.get(key)
-    if cached is not None:
-        return cached
-    import numpy as np  # here, not at module top: exact commands never load it
-
-    m = np.arange(1.0, n_cut + 1)
-    acc = np.cumsum(m ** float(-index[-1]))
-    for k in index[-2::-1]:
-        if strict:
-            acc = np.concatenate(([0.0], acc[:-1]))
-        acc = np.cumsum(m ** float(-k) * acc)
-    value = float(acc[-1])
-    _partial_cache[key] = value
-    return value
-
-
-def _rounding_allowance(depth_: int, n_cut: int, value: float) -> float:
-    # worst-case sequential-summation bound, one cumsum pass per level
-    return 4.0 * depth_ * n_cut * _EPS * (abs(value) + 1.0)
+def _zeta_bracket(word: str, prec: int, max_terms: int) -> tuple[int, int]:
+    """[lo, hi] around 2^(2 prec) zeta(word), from two sweeps."""
+    if not word:  # the unit
+        return 1 << 2 * prec, 1 << 2 * prec
+    right = _sweep(word, prec, max_terms)
+    left = _sweep(word[::-1].translate(_SWAP), prec, max_terms)
+    lo = hi = 0
+    for (a, b), (c, d) in zip(left, reversed(right)):
+        lo, hi = lo + a * c, hi + b * d
+    return lo, hi
 
 
 def _check_budget(tol: float, max_terms: int) -> None:
@@ -162,26 +132,44 @@ def _check_budget(tol: float, max_terms: int) -> None:
         raise ValueError(f"max_terms must be positive, got {max_terms}")
 
 
-def _nested_sum_numeric(
-    index: Word, tol: float, strict: bool, max_terms: int
-) -> NumericValue:
+def _certify(terms: list, den: int, tol: float, max_terms: int) -> NumericValue:
+    """sum(c zeta(word) for word, c in terms) / den, within `tol`."""
+    tol_num, tol_den = min(tol, 1.0).as_integer_ratio()  # inf has no ratio
+    prec = (tol_den // tol_num).bit_length() + _STEP
+    while True:
+        lo = hi = 0
+        for word, c in terms:
+            a, b = _zeta_bracket(word, prec, max_terms)
+            lo, hi = (lo + c * a, hi + c * b) if c > 0 else (lo + c * b, hi + c * a)
+        scale = den << 2 * prec
+        if 2 * (hi - lo) * tol_den <= tol_num * scale:
+            break
+        prec += _STEP
+        if prec > _MAX_PREC:
+            raise ToleranceUnreachable(f"tolerance {tol:.3e} needs {prec} bits")
+    mid = Fraction(lo + hi, 2 * scale)
+    value = float(mid)
+    err = Fraction(hi - lo, 2 * scale) + abs(Fraction(value) - mid)
+    bound = float(err)
+    if bound < err:
+        bound = math.nextafter(bound, math.inf)
+    if bound > tol:
+        raise ToleranceUnreachable(f"bound {bound:.3e} exceeds tolerance {tol:.3e}")
+    return NumericValue(value, bound)
+
+
+# finished results by (index, strict, tol, max_terms)
+_partial_cache: dict[tuple[Word, bool, float, int], NumericValue] = {}
+
+
+def _nested_sum_numeric(index: Word, tol: float, strict: bool, max_terms: int):
     _check_budget(tol, max_terms)
-    index = tuple(index)
-    if not index:
-        return NumericValue(1.0, 0.0)  # the unit word evaluates to 1 exactly
-    if not is_admissible(index):
-        raise ValueError(
-            f"index {format_index(index)} is not admissible "
-            "(the leading part must be >= 2)"
-        )
-    n_cut = _choose_cutoff(index, tol, strict, max_terms)
-    value = _partial_sum(index, n_cut, strict)
-    if len(index) == 1:
-        value += _tail_midpoint(index, n_cut)
-    truncation = _tail_bound(index, n_cut, strict)
-    return NumericValue(
-        value, truncation + _rounding_allowance(len(index), n_cut, value)
-    )
+    key = (tuple(index), strict, tol, max_terms)
+    nv = _partial_cache.get(key)
+    if nv is None:
+        terms = [(_letters(key[0], strict), 1)]
+        nv = _partial_cache[key] = _certify(terms, 1, tol, max_terms)
+    return nv
 
 
 def mzv_numeric(
@@ -202,29 +190,22 @@ def mzsv_numeric(
 def harm_elem_numeric(
     elem: HarmElem, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS
 ) -> NumericValue:
-    """Evaluate a linear combination of admissible words.
-
-    The tolerance is split across terms as tol / (#terms * max(1, |coeff|)),
-    so the combined truncation budget never exceeds `tol`; the reported bound
-    accumulates the per-term bounds and the float rounding of the combination.
-    """
+    """Evaluate a linear combination of admissible words: the terms' exact
+    brackets, weighted by the element's integer numerators, over its shared
+    denominator."""
     _check_budget(tol, max_terms)
-    terms = elem.items()
-    if not terms:
-        return NumericValue(0.0, 0.0)
-    n_terms = len(terms)
-    total = 0.0
-    bound = 0.0
-    magnitude = 0.0
-    for word, coeff in terms:
-        c = float(coeff)
-        per_term = tol / (n_terms * max(1.0, abs(c)))
-        nv = _nested_sum_numeric(word, per_term, strict=True, max_terms=max_terms)
-        total += c * nv.value
-        bound += abs(c) * nv.error_bound
-        magnitude += abs(c * nv.value)
-    bound += 2.0 * n_terms * _EPS * (magnitude + 1.0)
-    return NumericValue(total, bound)
+    terms = [(_letters(w, True), c) for w, c in elem._num.items()]
+    return _certify(terms, elem._den, tol, max_terms)
+
+
+def zeta_interval(index: Word, star: bool = False, bits: int = 128):
+    """Fractions lo <= zeta(index) <= hi (zeta-star with `star`), computed
+    at precision 2^-bits; the width is a small multiple of that."""
+    if bits < 1:
+        raise ValueError(f"bits must be positive, got {bits}")
+    word = _letters(tuple(index), not star)
+    lo, hi = _zeta_bracket(word, bits, DEFAULT_MAX_TERMS)
+    return Fraction(lo, 1 << 2 * bits), Fraction(hi, 1 << 2 * bits)
 
 
 def pi_multiple_numeric(p: PiMultiple) -> NumericValue:

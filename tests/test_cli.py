@@ -75,10 +75,17 @@ class TestEval:
             "--tol",
             "1e-9",
             "--max-terms",
-            "100000",
+            "16",
         )
         assert code == 2
         assert "tolerance" in err.lower()
+
+    @pytest.mark.parametrize("index,tol", [("2", "1e-10"), ("3,1", "1e-12")])
+    def test_printed_bound_meets_tolerance(self, capsys, index, tol):
+        code, out, _ = run(capsys, "eval", "--index", index, "--tol", tol)
+        assert code == 0
+        bound = out.split("(error <= ")[1].rstrip(")\n")
+        assert float(bound) <= float(tol)
 
 
 class TestCoeff:
@@ -235,6 +242,8 @@ class TestImportFootprint:
         argv = ("coeff", "thmA", "--m", "2", "--n", "2")
         assert _cli_in_fresh_process(*argv) == (0, False)
 
-    def test_numeric_eval_loads_numpy(self):
+    def test_numeric_commands_do_not_load_numpy(self):
         argv = ("eval", "--index", "2", "--tol", "1e-6")
-        assert _cli_in_fresh_process(*argv) == (0, True)
+        assert _cli_in_fresh_process(*argv) == (0, False)
+        argv = ("verify", "zhom", "--seed", "1", "--trials", "50")
+        assert _cli_in_fresh_process(*argv) == (0, False)

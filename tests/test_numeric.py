@@ -1,9 +1,15 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from zetastar.closed_forms import thmB_coefficient
+from zetastar.closed_forms import (
+    mzv_31_repeated,
+    thmA_coefficient,
+    thmB_coefficient,
+    thmC_coefficient,
+)
 from zetastar.exact import PiMultiple
 from zetastar.numeric import (
     NumericValue,
@@ -12,10 +18,42 @@ from zetastar.numeric import (
     mzsv_numeric,
     mzv_numeric,
     pi_multiple_numeric,
+    zeta_interval,
 )
 from zetastar.words import HarmElem, insertions, s_map
 
 PI = math.pi
+
+
+def _atan_inv(x: int, bits: int) -> tuple[int, int]:
+    """(a, slack) with |2^bits atan(1/x) - a| < slack: the alternating series
+    with every term rounded down, stopped at the first term that rounds to 0."""
+    total = k = 0
+    while term := (1 << bits) // ((2 * k + 1) * x ** (2 * k + 1)):
+        total += -term if k % 2 else term
+        k += 1
+    return total, k + 1
+
+
+def _pi_interval(bits: int = 256) -> tuple[Fraction, Fraction]:
+    """pi = 16 atan(1/5) - 4 atan(1/239) (Machin), enclosed in integers."""
+    a5, s5 = _atan_inv(5, bits)
+    a239, s239 = _atan_inv(239, bits)
+    mid, slack = 16 * a5 - 4 * a239, 16 * s5 + 4 * s239
+    return Fraction(mid - slack, 1 << bits), Fraction(mid + slack, 1 << bits)
+
+
+PI_LO, PI_HI = _pi_interval()
+
+
+def _closed_form(q: Fraction, power: int) -> tuple[Fraction, Fraction]:
+    """An exact interval around q pi^power, for q > 0."""
+    return q * PI_LO**power, q * PI_HI**power
+
+
+def _contains(nv: NumericValue, interval: tuple[Fraction, Fraction]) -> bool:
+    value, bound = Fraction(nv.value), Fraction(nv.error_bound)
+    return value - bound <= interval[0] and interval[1] <= value + bound
 
 
 class TestMzvNumeric:
@@ -36,8 +74,18 @@ class TestMzvNumeric:
             mzsv_numeric((1, 1), 1e-6)
 
     def test_unreachable_tolerance(self):
+        # the term cap binds on the cutoff of each sweep
         with pytest.raises(ToleranceUnreachable):
-            mzv_numeric((2, 1, 1, 1, 1), 1e-8, max_terms=100_000)
+            mzv_numeric((2, 1, 1, 1, 1), 1e-8, max_terms=16)
+        # below the float64 resolution of zeta(2)
+        with pytest.raises(ToleranceUnreachable):
+            mzv_numeric((2,), 1e-17)
+
+    def test_log_power_tail_within_cap(self):
+        # zeta(2,1,1,1,1) = zeta(6) = pi^6/945 by duality
+        nv = mzv_numeric((2, 1, 1, 1, 1), 1e-8, max_terms=100_000)
+        assert nv.error_bound <= 1e-8
+        assert _contains(nv, _closed_form(Fraction(1, 945), 6))
 
     def test_deterministic(self):
         assert mzv_numeric((3, 2), 1e-9) == mzv_numeric((3, 2), 1e-9)
@@ -105,6 +153,13 @@ class TestHarmElemNumeric:
         )
         assert abs(nv.value - truth) <= 1e-6
 
+    def test_negative_and_fractional_coefficients(self):
+        # zeta(2, 2) = 3/4 zeta(4), so both combinations vanish
+        for sign in (1, -1):
+            elem = HarmElem({(2, 2): Fraction(sign, 3), (4,): Fraction(-sign, 4)})
+            nv = harm_elem_numeric(elem, 1e-12)
+            assert abs(nv.value) <= nv.error_bound <= 1e-12
+
     def test_rejects_non_admissible_term(self):
         with pytest.raises(ValueError):
             harm_elem_numeric(HarmElem.from_word((1, 2)), 1e-6)
@@ -168,3 +223,84 @@ class TestJsonShape:
         obj = NumericValue(math.pi, 1.5e-9).to_json_obj()
         assert obj["value"] == "3.1415926535897931"
         assert float(obj["error_bound"]) == 1.5e-9
+
+
+def _grid_indices(seed: int = 24, count: int = 12) -> list[tuple[int, ...]]:
+    """Distinct admissible indices of depth <= 4 with parts <= 4."""
+    rng = random.Random(seed)
+    out: list[tuple[int, ...]] = []
+    while len(out) < count:
+        rest = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 3)))
+        index = (rng.randint(2, 4),) + rest
+        if index not in out:
+            out.append(index)
+    return out
+
+
+class TestToleranceContract:
+    """A returned bound meets the tolerance asked for, or the call raises;
+    and the value lies within its bound of the exact interval."""
+
+    @pytest.mark.parametrize("index", _grid_indices())
+    def test_seeded_grid(self, index):
+        exact = {star: zeta_interval(index, star, bits=128) for star in (False, True)}
+        for tol in (1e-4, 1e-8, 1e-12):
+            routes = (
+                (False, lambda: mzv_numeric(index, tol)),
+                (True, lambda: mzsv_numeric(index, tol)),
+                (True, lambda: harm_elem_numeric(s_map(index), tol)),
+            )
+            for star, evaluate in routes:
+                try:
+                    nv = evaluate()
+                except ToleranceUnreachable:
+                    continue
+                assert nv.error_bound <= tol
+                assert _contains(nv, exact[star])
+
+
+class TestZetaInterval:
+    """Exact brackets contain the closed forms, to 30 digits at 120 bits."""
+
+    STAR = (
+        [((3, 1) * n, thmB_coefficient(n), 4 * n) for n in (1, 2, 3)]
+        + [((2,) * m, thmA_coefficient(1, m), 2 * m) for m in (2, 3, 4)]
+        + [((4, 4), thmA_coefficient(2, 2), 8)]
+    )
+    PLAIN = [
+        ((2,), Fraction(1, 6), 2),
+        ((2, 1, 1, 1, 1), Fraction(1, 945), 6),
+    ] + [((3, 1) * n, mzv_31_repeated(n).coeff, 4 * n) for n in (1, 2)]
+
+    @staticmethod
+    def _check(interval, closed):
+        lo, hi = interval
+        assert 0 < hi - lo <= lo / 10**30
+        assert lo <= closed[1] and closed[0] <= hi
+
+    @pytest.mark.parametrize("index,q,power", STAR)
+    def test_star_closed_forms(self, index, q, power):
+        interval = zeta_interval(index, star=True, bits=120)
+        self._check(interval, _closed_form(q, power))
+
+    @pytest.mark.parametrize("index,q,power", PLAIN)
+    def test_plain_closed_forms(self, index, q, power):
+        interval = zeta_interval(index, bits=120)
+        self._check(interval, _closed_form(q, power))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_thmC_insertion_sums(self, n):
+        brackets = [zeta_interval(w, star=True, bits=120) for w in insertions(n)]
+        interval = (sum(b[0] for b in brackets), sum(b[1] for b in brackets))
+        self._check(interval, _closed_form(thmC_coefficient(n), 4 * n + 2))
+
+    def test_machin_pi(self):
+        assert PI_LO < PI_HI < PI_LO + Fraction(1, 2**240)
+        assert abs(float((PI_LO + PI_HI) / 2) - math.pi) <= 1e-15
+
+    def test_unit_and_invalid_input(self):
+        assert zeta_interval(()) == (1, 1)
+        with pytest.raises(ValueError):
+            zeta_interval((1, 2))
+        with pytest.raises(ValueError):
+            zeta_interval((2,), bits=0)
