@@ -19,21 +19,10 @@ failure (including a failed verification).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import closed_forms, verify
-from .cyclotomic import NotRationalError
-from .exact import PiMultiple, bernoulli
-from .numeric import (
-    DEFAULT_MAX_TERMS,
-    DEFAULT_TOL,
-    NumericValue,
-    ToleranceUnreachable,
-    mzsv_numeric,
-    mzv_numeric,
-)
-from .words import format_index, insertions, parse_index, s_map
+# Each runner imports the layers it uses, so a command loads only those.
+from ._base import NotRationalError, ToleranceUnreachable
 
 __all__ = ["main"]
 
@@ -73,8 +62,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("eval", parents=[common], help="numeric evaluation")
     p.add_argument("--index", required=True)
     p.add_argument("--star", action="store_true", help="evaluate the star sum")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
+    p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--max-terms", type=int, default=argparse.SUPPRESS)
 
     p = sub.add_parser("coeff", parents=[common], help="exact closed forms")
     which = p.add_subparsers(dest="family", required=True)
@@ -113,8 +102,8 @@ def _build_parser() -> _Parser:
     chk = which.add_parser("zhom", parents=[common])
     chk.add_argument("--seed", type=int, default=1)
     chk.add_argument("--trials", type=int, default=50)
-    chk.add_argument("--tol", type=float, default=0.25)
-    chk.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
+    chk.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    chk.add_argument("--max-terms", type=int, default=argparse.SUPPRESS)
 
     p = sub.add_parser("bernoulli", parents=[common], help="Bernoulli number")
     p.add_argument("--n", type=int, required=True)
@@ -127,12 +116,23 @@ def _build_parser() -> _Parser:
 
 def _emit(text_form: str, json_obj, fmt: str) -> None:
     if fmt == "json":
+        import json
+
         print(json.dumps(json_obj, sort_keys=True))
     else:
         print(text_form)
 
 
+def _budget(args) -> dict:
+    """The --tol and --max-terms given; the library's defaults stand for the
+    rest, so they are written in one place."""
+    keys = ("tol", "max_terms")
+    return {key: getattr(args, key) for key in keys if hasattr(args, key)}
+
+
 def _run_expand(args) -> int:
+    from .words import parse_index, s_map
+
     index = parse_index(args.index)
     elem = s_map(index)
     _emit(str(elem), elem.to_json_obj(), args.format)
@@ -140,9 +140,12 @@ def _run_expand(args) -> int:
 
 
 def _run_eval(args) -> int:
+    from .numeric import mzsv_numeric, mzv_numeric
+    from .words import parse_index
+
     index = parse_index(args.index)
     evaluate = mzsv_numeric if args.star else mzv_numeric
-    nv: NumericValue = evaluate(index, args.tol, args.max_terms)
+    nv = evaluate(index, **_budget(args))
     _emit(
         f"{nv.value:.17g} (error <= {nv.error_bound:.3e})",
         nv.to_json_obj(),
@@ -152,6 +155,9 @@ def _run_eval(args) -> int:
 
 
 def _run_coeff(args) -> int:
+    from . import closed_forms
+    from .exact import PiMultiple
+
     if args.family == "thmA":
         value = PiMultiple(
             closed_forms.thmA_coefficient(args.m, args.n), 2 * args.m * args.n
@@ -167,6 +173,8 @@ def _run_coeff(args) -> int:
 
 
 def _run_verify(args) -> int:
+    from . import verify
+
     if args.check == "thm6":
         report = verify.verify_thm6(args.a, args.b, args.n)
     elif args.check == "thm7":
@@ -178,9 +186,7 @@ def _run_verify(args) -> int:
     elif args.check == "sconsist":
         report = verify.verify_s_consistency(args.max_depth, args.max_part)
     else:
-        report = verify.verify_z_homomorphism(
-            args.seed, args.trials, args.tol, args.max_terms
-        )
+        report = verify.verify_z_homomorphism(args.seed, args.trials, **_budget(args))
     param_text = " ".join(f"{k}={v}" for k, v in report.params.items())
     status = "PASS" if report.ok else f"FAIL({len(report.failures)})"
     _emit(
@@ -192,12 +198,16 @@ def _run_verify(args) -> int:
 
 
 def _run_bernoulli(args) -> int:
+    from .exact import bernoulli
+
     value = str(bernoulli(args.n))
     _emit(value, {"bernoulli": value}, args.format)
     return EXIT_OK
 
 
 def _run_insertions(args) -> int:
+    from .words import format_index, insertions
+
     words = insertions(args.n)
     _emit(
         "\n".join(format_index(w) for w in words),

@@ -9,9 +9,10 @@ extraction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from ._base import FrozenRecord, NotRationalError
 
 __all__ = [
     "CycloElem",
@@ -20,10 +21,6 @@ __all__ = [
     "cyclo_reduce",
     "cyclotomic_polynomial",
 ]
-
-
-class NotRationalError(ArithmeticError):
-    """The cyclotomic element is not a rational number."""
 
 
 @lru_cache(maxsize=None)
@@ -71,8 +68,7 @@ def _poly_divmod_monic(num, den):
     return quot, rem[:dd]
 
 
-@dataclass(frozen=True, slots=True)
-class CycloElem:
+class CycloElem(FrozenRecord):
     """Element of Q[t]/(t^m - 1): `coeffs[j]` is the coefficient of t^j.
 
     Structural equality compares coefficient vectors; two elements represent
@@ -80,17 +76,17 @@ class CycloElem:
     cyclotomic polynomial coincide (see :func:`cyclo_reduce`).
     """
 
+    __slots__ = ("modulus", "coeffs")
     modulus: int
     coeffs: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
+    def __init__(self, modulus: int, coeffs: tuple[Fraction, ...]) -> None:
+        if modulus < 1:
             raise ValueError("modulus must be positive")
-        if len(self.coeffs) != self.modulus:
+        if len(coeffs) != modulus:
             raise ValueError("coefficient vector length must equal the modulus")
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
-        )
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
 
     @classmethod
     def zero(cls, m: int) -> "CycloElem":

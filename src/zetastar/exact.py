@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial
+
+from ._base import FrozenRecord
 
 __all__ = [
     "PiMultiple",
@@ -89,18 +90,20 @@ def csc_coefficient(n: int) -> Fraction:
     return Fraction(sign * (2 ** (2 * n) - 2)) * bernoulli(2 * n) / factorial(2 * n)
 
 
-@dataclass(frozen=True, slots=True)
-class PiMultiple:
+class PiMultiple(FrozenRecord):
     """An exact value q * pi^w with rational q and integer w >= 0."""
 
+    __slots__ = ("coeff", "pi_power")
     coeff: Fraction
     pi_power: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.coeff, Fraction):
-            object.__setattr__(self, "coeff", Fraction(self.coeff))
-        if self.pi_power < 0:
+    def __init__(self, coeff: Fraction, pi_power: int) -> None:
+        if not isinstance(coeff, Fraction):
+            coeff = Fraction(coeff)
+        if pi_power < 0:
             raise ValueError("pi_power must be nonnegative")
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "pi_power", pi_power)
 
     def __str__(self) -> str:
         return f"{self.coeff} * pi^{self.pi_power}"

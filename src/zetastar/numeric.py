@@ -25,9 +25,9 @@ rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._base import FrozenRecord, ToleranceUnreachable
 from .exact import PiMultiple
 from .words import HarmElem, Word, format_index, is_admissible, word_to_xy
 
@@ -52,19 +52,19 @@ _MAX_PREC = 4096
 _SWAP = str.maketrans("xy", "yx")
 
 
-class ToleranceUnreachable(ArithmeticError):
-    """No bracket within the term cap brings the error bound under tolerance."""
-
-
-@dataclass(frozen=True, slots=True)
-class NumericValue:
+class NumericValue(FrozenRecord):
     """A float64 estimate together with a bound on its total error.
 
     The true value lies in [value - error_bound, value + error_bound].
     """
 
+    __slots__ = ("value", "error_bound")
     value: float
     error_bound: float
+
+    def __init__(self, value: float, error_bound: float) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "error_bound", error_bound)
 
     def to_json_obj(self) -> dict:
         return {

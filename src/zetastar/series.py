@@ -7,21 +7,21 @@ degrees at or beyond it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._base import FrozenRecord
 
 __all__ = ["PowerSeries"]
 
 
-@dataclass(frozen=True, slots=True)
-class PowerSeries:
+class PowerSeries(FrozenRecord):
     """coeffs[d] is the coefficient of x^d; len(coeffs) is the truncation order."""
 
+    __slots__ = ("coeffs",)
     coeffs: tuple
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) < 1:
+    def __init__(self, coeffs: tuple) -> None:
+        if len(coeffs) < 1:
             raise ValueError("truncation order must be positive")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     @property
     def truncation(self) -> int:

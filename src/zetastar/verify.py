@@ -18,8 +18,7 @@ constrained samples (weight caps, admissibility) are drawn by rejection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._base import Record
 from .closed_forms import thmA_coefficient
 from .cyclotomic import CycloElem, cyclo_rational_value, cyclo_reduce
 from .exact import csc_coefficient
@@ -39,14 +38,26 @@ __all__ = [
 ]
 
 
-@dataclass(slots=True)
-class Report:
+class Report(Record):
     """Outcome of one verification run."""
 
+    __slots__ = ("check", "params", "cases", "failures")
     check: str
     params: dict
-    cases: int = 0
-    failures: list[dict] = field(default_factory=list)
+    cases: int
+    failures: list[dict]
+
+    def __init__(
+        self,
+        check: str,
+        params: dict,
+        cases: int = 0,
+        failures: list[dict] | None = None,
+    ) -> None:
+        self.check = check
+        self.params = params
+        self.cases = cases
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:
@@ -330,10 +341,10 @@ def verify_z_homomorphism(
     combined certified bounds.
 
     Pairs are admissible random words of depth <= 3, parts <= 4 and
-    weight <= 6.  The default tolerance is deliberately coarse: stuffle
-    products of weight-6 words contain indices whose series converge like
-    powers of log, and a tight budget would push their cutoffs past the term
-    cap.  The identity check is against the certified bounds, not `tol`.
+    weight <= 6.  The identity check is against the certified bounds, not
+    `tol`, which only sets how tight each evaluation is; any positive value
+    tests the identity.  The coarse default keeps the evaluations short;
+    tight tolerances such as 1e-6 pass as well and take longer.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,42 @@ def test_package_exports_every_module_name():
     assert set(zetastar.__all__) == union
     assert len(zetastar.__all__) == len(union)
     assert all(hasattr(zetastar, name) for name in zetastar.__all__)
+
+
+def test_package_loads_submodules_on_first_use():
+    src = str(Path(zetastar.__file__).resolve().parents[1])
+    code = "import sys, zetastar; print(*(m for m in sys.modules if 'zetastar.' in m))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+def test_package_names_are_the_modules_objects():
+    assert zetastar.s_map is zetastar.words.s_map
+    for module in (closed_forms, cyclotomic, exact, numeric, series, verify, words):
+        assert getattr(zetastar, module.__name__.rpartition(".")[2]) is module
+        for name in module.__all__:
+            assert getattr(zetastar, name) is getattr(module, name)
+    assert set(zetastar.__all__) <= set(dir(zetastar))
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from zetastar import *", namespace)
+    for name in zetastar.__all__:
+        assert namespace[name] is getattr(zetastar, name)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        zetastar.no_such_name
+    assert not hasattr(zetastar, "_stuffle_words")
 
 
 @pytest.mark.parametrize(

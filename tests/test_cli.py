@@ -80,6 +80,14 @@ class TestEval:
         assert code == 2
         assert "tolerance" in err.lower()
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--tol", "1e-8"), ("--max-terms", "10000000")]
+    )
+    def test_default_budget_is_the_library_default(self, capsys, flag, value):
+        default = run(capsys, "eval", "--index", "2,2")
+        assert default[0] == 0
+        assert run(capsys, "eval", "--index", "2,2", flag, value) == default
+
     @pytest.mark.parametrize("index,tol", [("2", "1e-10"), ("3,1", "1e-12")])
     def test_printed_bound_meets_tolerance(self, capsys, index, tol):
         code, out, _ = run(capsys, "eval", "--index", index, "--tol", tol)
@@ -217,13 +225,13 @@ class TestDeterminism:
 
 
 def _cli_in_fresh_process(*argv):
-    """Run `main(argv)` in a new interpreter; return its exit code and
-    whether numpy was loaded by then."""
+    """Run `main(argv)` in a new interpreter; return its exit code and the
+    set of modules loaded by then."""
     src = str(Path(zetastar.__file__).resolve().parents[1])
     code = (
         "import sys, zetastar.cli\n"
         f"code = zetastar.cli.main({list(argv)!r})\n"
-        "print(code, 'numpy' in sys.modules)\n"
+        "print(code, *sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -233,17 +241,45 @@ def _cli_in_fresh_process(*argv):
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    code, loaded = proc.stdout.split()[-2:]
-    return int(code), loaded == "True"
+    code, *loaded = proc.stdout.splitlines()[-1].split()
+    return int(code), set(loaded)
 
 
 class TestImportFootprint:
     def test_exact_command_does_not_load_numpy(self):
-        argv = ("coeff", "thmA", "--m", "2", "--n", "2")
-        assert _cli_in_fresh_process(*argv) == (0, False)
+        code, loaded = _cli_in_fresh_process("coeff", "thmA", "--m", "2", "--n", "2")
+        assert code == 0 and "numpy" not in loaded
 
     def test_numeric_commands_do_not_load_numpy(self):
-        argv = ("eval", "--index", "2", "--tol", "1e-6")
-        assert _cli_in_fresh_process(*argv) == (0, False)
-        argv = ("verify", "zhom", "--seed", "1", "--trials", "50")
-        assert _cli_in_fresh_process(*argv) == (0, False)
+        for argv in (
+            ("eval", "--index", "2", "--tol", "1e-6"),
+            ("verify", "zhom", "--seed", "1", "--trials", "50"),
+        ):
+            code, loaded = _cli_in_fresh_process(*argv)
+            assert code == 0 and "numpy" not in loaded
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("coeff", "thmA", "--m", "2", "--n", "2"), ("bernoulli", "--n", "12")],
+        ids=["coeff", "bernoulli"],
+    )
+    def test_closed_forms_load_only_their_layers(self, argv):
+        code, loaded = _cli_in_fresh_process(*argv)
+        assert code == 0
+        unused = {
+            "zetastar.verify", "zetastar.numeric", "zetastar.words",
+            "zetastar.series", "dataclasses", "inspect", "json",
+        }
+        assert not loaded & unused
+
+    def test_eval_loads_neither_verify_nor_closed_forms(self):
+        code, loaded = _cli_in_fresh_process("eval", "--index", "2,2", "--star")
+        assert code == 0
+        assert "zetastar.numeric" in loaded
+        unused = {"zetastar.verify", "zetastar.closed_forms", "dataclasses", "json"}
+        assert not loaded & unused
+
+    def test_json_output_loads_json(self):
+        argv = ("bernoulli", "--n", "4", "--format", "json")
+        code, loaded = _cli_in_fresh_process(*argv)
+        assert code == 0 and "json" in loaded
