@@ -28,7 +28,6 @@ import math
 from fractions import Fraction
 
 from ._base import FrozenRecord, ToleranceUnreachable
-from .exact import PiMultiple
 from .words import HarmElem, Word, format_index, is_admissible, word_to_xy
 
 __all__ = [
@@ -39,14 +38,12 @@ __all__ = [
     "harm_elem_numeric",
     "mzsv_numeric",
     "mzv_numeric",
-    "pi_multiple_numeric",
     "zeta_interval",
 ]
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_TERMS = 10_000_000
 
-_EPS = 2.220446049250313e-16  # float64 machine epsilon, used generously
 _STEP = 16  # bits: P's margin over the tolerance, and its increment
 _MAX_PREC = 4096
 _SWAP = str.maketrans("xy", "yx")
@@ -132,8 +129,11 @@ def _check_budget(tol: float, max_terms: int) -> None:
         raise ValueError(f"max_terms must be positive, got {max_terms}")
 
 
-def _certify(terms: list, den: int, tol: float, max_terms: int) -> NumericValue:
-    """sum(c zeta(word) for word, c in terms) / den, within `tol`."""
+def _bracket(terms: list, den: int, tol: float, max_terms: int) -> tuple[int, int, int]:
+    """(lo, hi, scale) with lo/scale <= sum(c zeta(word) for word, c in
+    terms) / den <= hi/scale and the bracket at most tol/2 wide.  With
+    every c positive, lo >= 0: the sweeps' lower ends are floors of
+    positive terms."""
     tol_num, tol_den = min(tol, 1.0).as_integer_ratio()  # inf has no ratio
     prec = (tol_den // tol_num).bit_length() + _STEP
     while True:
@@ -143,10 +143,23 @@ def _certify(terms: list, den: int, tol: float, max_terms: int) -> NumericValue:
             lo, hi = (lo + c * a, hi + c * b) if c > 0 else (lo + c * b, hi + c * a)
         scale = den << 2 * prec
         if 2 * (hi - lo) * tol_den <= tol_num * scale:
-            break
+            return lo, hi, scale
         prec += _STEP
         if prec > _MAX_PREC:
             raise ToleranceUnreachable(f"tolerance {tol:.3e} needs {prec} bits")
+
+
+def _elem_bracket(elem: HarmElem, tol: float, max_terms: int) -> tuple[int, int, int]:
+    """The exact bracket (lo, hi, scale) of the value of a linear combination
+    of admissible words, at most tol/2 wide."""
+    _check_budget(tol, max_terms)
+    terms = [(_letters(w, True), c) for w, c in elem._num.items()]
+    return _bracket(terms, elem._den, tol, max_terms)
+
+
+def _certify(lo: int, hi: int, scale: int, tol: float) -> NumericValue:
+    """The bracket's midpoint rounded to a float, with a bound covering the
+    half-width and that rounding, within `tol`."""
     mid = Fraction(lo + hi, 2 * scale)
     value = float(mid)
     err = Fraction(hi - lo, 2 * scale) + abs(Fraction(value) - mid)
@@ -167,8 +180,8 @@ def _nested_sum_numeric(index: Word, tol: float, strict: bool, max_terms: int):
     key = (tuple(index), strict, tol, max_terms)
     nv = _partial_cache.get(key)
     if nv is None:
-        terms = [(_letters(key[0], strict), 1)]
-        nv = _partial_cache[key] = _certify(terms, 1, tol, max_terms)
+        bracket = _bracket([(_letters(key[0], strict), 1)], 1, tol, max_terms)
+        nv = _partial_cache[key] = _certify(*bracket, tol)
     return nv
 
 
@@ -193,9 +206,7 @@ def harm_elem_numeric(
     """Evaluate a linear combination of admissible words: the terms' exact
     brackets, weighted by the element's integer numerators, over its shared
     denominator."""
-    _check_budget(tol, max_terms)
-    terms = [(_letters(w, True), c) for w, c in elem._num.items()]
-    return _certify(terms, elem._den, tol, max_terms)
+    return _certify(*_elem_bracket(elem, tol, max_terms), tol)
 
 
 def zeta_interval(index: Word, star: bool = False, bits: int = 128):
@@ -206,10 +217,3 @@ def zeta_interval(index: Word, star: bool = False, bits: int = 128):
     word = _letters(tuple(index), not star)
     lo, hi = _zeta_bracket(word, bits, DEFAULT_MAX_TERMS)
     return Fraction(lo, 1 << 2 * bits), Fraction(hi, 1 << 2 * bits)
-
-
-def pi_multiple_numeric(p: PiMultiple) -> NumericValue:
-    """Float value of q * pi^w; the only error is float rounding."""
-    value = float(p.coeff) * math.pi**p.pi_power
-    bound = (p.pi_power + 4.0) * _EPS * abs(value)
-    return NumericValue(value, bound)

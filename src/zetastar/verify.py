@@ -5,7 +5,7 @@ the repeated-index coefficients, and the numeric product homomorphism.
 
 Every check returns a :class:`Report`; a report with an empty failure list
 certifies that each tested instance held exactly (or, for the numeric check,
-within the certified error bounds).  Identity checks always compare
+that the exact brackets of both sides meet).  Identity checks always compare
 canonical :class:`~zetastar.words.HarmElem` values, never term streams, so
 ordering artifacts cannot produce false results.
 
@@ -18,11 +18,13 @@ constrained samples (weight caps, admissibility) are drawn by rejection.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from ._base import Record
 from .closed_forms import thmA_coefficient
 from .cyclotomic import CycloElem, cyclo_rational_value, cyclo_reduce
 from .exact import csc_coefficient
-from .numeric import DEFAULT_MAX_TERMS, _check_budget, harm_elem_numeric, mzv_numeric
+from .numeric import DEFAULT_MAX_TERMS, _check_budget, _elem_bracket
 from .series import PowerSeries
 from .words import HarmElem, Word, s_map, s_map_via_s1
 
@@ -149,108 +151,68 @@ def _check_letters(n: int, *letters: int) -> None:
         raise ValueError("n must be nonnegative")
 
 
-def _word_power(base: Word, reps: int) -> Word:
-    return tuple(base) * reps
-
-
 def verify_thm6(a: int, b: int, n: int) -> Report:
     """The two product identities expanding the merge map of alternating
-    words: with u = (a, b),
+    words: with u = (a, b) and the head h = () ("alternating") or (b,)
+    ("tailed"),
 
-      S(u^n)        = sum_i u^i * S((a+b)^(n-i))
-      S(b u^n)      = sum_i (b, u^i) * S((a+b)^(n-i)).
+      S(h u^n) = sum_i (h u^i) * S((a+b)^(n-i)).
     """
     _check_letters(n, a, b)
     report = Report("thm6", {"a": a, "b": b, "n": n})
-    merged = [s_map(_word_power((a + b,), j)) for j in range(n + 1)]
-
-    lhs = s_map(_word_power((a, b), n))
-    rhs = HarmElem.zero()
-    for i in range(n + 1):
-        rhs = rhs + HarmElem.from_word(_word_power((a, b), i)) * merged[n - i]
-    report.record(lhs == rhs, identity="alternating", lhs=str(lhs), rhs=str(rhs))
-
-    lhs = s_map((b,) + _word_power((a, b), n))
-    rhs = HarmElem.zero()
-    for i in range(n + 1):
-        rhs = rhs + HarmElem.from_word((b,) + _word_power((a, b), i)) * merged[n - i]
-    report.record(lhs == rhs, identity="tailed", lhs=str(lhs), rhs=str(rhs))
+    for identity, head in (("alternating", ()), ("tailed", (b,))):
+        lhs = s_map(head + (a, b) * n)
+        rhs = HarmElem.zero()
+        for i in range(n + 1):
+            merged = s_map((a + b,) * (n - i))
+            rhs = rhs + HarmElem.from_word(head + (a, b) * i) * merged
+        report.record(lhs == rhs, identity=identity, lhs=str(lhs), rhs=str(rhs))
     return report
-
-
-def _insertion_word(i: int, j: int, a: int, b: int, c: int) -> Word:
-    # (a,b)^i c (a,b)^j
-    return (a, b) * i + (c,) + (a, b) * j
-
-
-def _insertion_word_tailed(i: int, j: int, a: int, b: int, c: int) -> Word:
-    # (b,a)^i c (b,a)^j b
-    return (b, a) * i + (c,) + (b, a) * j + (b,)
 
 
 def verify_thm7(a: int, b: int, c: int, n: int) -> Report:
     """The pair of identities behind the insertion-set evaluation.
 
-    With A(i,j) = (a,b)^i c (a,b)^j and B(i,j) = (b,a)^i c (b,a)^j b:
+    With A(i,j) = (a,b)^i c (a,b)^j and B(i,j) = (b,a)^i c (b,a)^j b, each
+    identity has a head h and level-k insertion words I(k):
 
-      sum_k S(A(k, n-k)) + sum_k S(a B(k, n-1-k))
-        = 2 sum_k z_{(a+b)k+c} * S((a,b)^(n-k))
-          - sum_k S((a+b)^(n-k)) * { sum_i A(i, k-i) + sum_i a B(i, k-1-i) }
+      plain:   h = (),   I(k) = A(i, k-i) for i <= k and a B(i, k-1-i) for i < k;
+      wrapped: h = (b,), I(k) = b A(i, k-i) and B(i, k-i) for i <= k;
 
-    and the same shape with every word prefixed (resp. suffixed) by b.
+      sum_{w in I(n)} S(w)
+        = sum_k 2 z_{(a+b)k+c} * S(h (a,b)^(n-k)) - S((a+b)^(n-k)) * sum I(k).
+
     Summations with an empty range are zero.
     """
     _check_letters(n, a, b, c)
     report = Report("thm7", {"a": a, "b": b, "c": c, "n": n})
-    merged = [s_map(_word_power((a + b,), j)) for j in range(n + 1)]
 
-    def insertion_block(k: int, lead_b: bool) -> HarmElem:
-        out = HarmElem.zero()
-        if lead_b:
-            for i in range(k + 1):
-                out = out + HarmElem.from_word(
-                    (b,) + _insertion_word(i, k - i, a, b, c)
-                )
-            for i in range(k + 1):
-                out = out + HarmElem.from_word(
-                    _insertion_word_tailed(i, k - i, a, b, c)
-                )
-        else:
-            for i in range(k + 1):
-                out = out + HarmElem.from_word(_insertion_word(i, k - i, a, b, c))
-            for i in range(k):
-                out = out + HarmElem.from_word(
-                    (a,) + _insertion_word_tailed(i, k - 1 - i, a, b, c)
-                )
-        return out
+    def A(i: int, j: int) -> Word:
+        return (a, b) * i + (c,) + (a, b) * j
 
-    # first identity
-    lhs = HarmElem.zero()
-    for k in range(n + 1):
-        lhs = lhs + s_map(_insertion_word(k, n - k, a, b, c))
-    for k in range(n):
-        lhs = lhs + s_map((a,) + _insertion_word_tailed(k, n - 1 - k, a, b, c))
-    rhs = HarmElem.zero()
-    for k in range(n + 1):
-        rhs = rhs + 2 * (
-            HarmElem.from_word(((a + b) * k + c,)) * s_map(_word_power((a, b), n - k))
-        )
-        rhs = rhs - merged[n - k] * insertion_block(k, lead_b=False)
-    report.record(lhs == rhs, identity="plain", lhs=str(lhs), rhs=str(rhs))
+    def B(i: int, j: int) -> Word:
+        return (b, a) * i + (c,) + (b, a) * j + (b,)
 
-    # second identity
-    lhs = HarmElem.zero()
-    for k in range(n + 1):
-        lhs = lhs + s_map((b,) + _insertion_word(k, n - k, a, b, c))
-        lhs = lhs + s_map(_insertion_word_tailed(k, n - k, a, b, c))
-    rhs = HarmElem.zero()
-    for k in range(n + 1):
-        rhs = rhs + 2 * (
-            HarmElem.from_word(((a + b) * k + c,))
-            * s_map((b,) + _word_power((a, b), n - k))
-        )
-        rhs = rhs - merged[n - k] * insertion_block(k, lead_b=True)
-    report.record(lhs == rhs, identity="wrapped", lhs=str(lhs), rhs=str(rhs))
+    def plain(k: int) -> list[Word]:
+        return [A(i, k - i) for i in range(k + 1)] + [
+            (a,) + B(i, k - 1 - i) for i in range(k)
+        ]
+
+    def wrapped(k: int) -> list[Word]:
+        return [(b,) + A(i, k - i) for i in range(k + 1)] + [
+            B(i, k - i) for i in range(k + 1)
+        ]
+
+    for identity, head, level in (("plain", (), plain), ("wrapped", (b,), wrapped)):
+        lhs = sum(map(s_map, level(n)), HarmElem.zero())
+        rhs = HarmElem.zero()
+        for k in range(n + 1):
+            block = sum(map(HarmElem.from_word, level(k)), HarmElem.zero())
+            rhs = rhs + 2 * (
+                HarmElem.from_word(((a + b) * k + c,)) * s_map(head + (a, b) * (n - k))
+            )
+            rhs = rhs - s_map((a + b,) * (n - k)) * block
+        report.record(lhs == rhs, identity=identity, lhs=str(lhs), rhs=str(rhs))
     return report
 
 
@@ -337,14 +299,16 @@ def verify_z_homomorphism(
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> Report:
     """Numeric check that evaluation turns the harmonic product into the
-    product of values: |Z(w1 * w2) - Z(w1) Z(w2)| must stay within the
-    combined certified bounds.
+    product of values, on exact brackets: the bracket of Z(w1 * w2) must
+    meet the product of the brackets of Z(w1) and Z(w2).
 
     Pairs are admissible random words of depth <= 3, parts <= 4 and
-    weight <= 6.  The identity check is against the certified bounds, not
-    `tol`, which only sets how tight each evaluation is; any positive value
-    tests the identity.  The coarse default keeps the evaluations short;
-    tight tolerances such as 1e-6 pass as well and take longer.
+    weight <= 6.  Each bracket is a pair of integers over a common scale,
+    at most `tol`/2 wide, and the comparison is integer cross-multiplication,
+    so no float decides a verdict and any positive `tol` tests the
+    identity.  Only the 4096-bit precision cap or `max_terms` stops a run
+    (ToleranceUnreachable).  The coarse default keeps the evaluations short.
+    Failure records give each side's bracket as two exact fractions.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
@@ -354,25 +318,18 @@ def verify_z_homomorphism(
     for trial in range(trials):
         w1 = sampler.word(3, 4, max_weight=6, admissible=True)
         w2 = sampler.word(3, 4, max_weight=6, admissible=True)
-        product = HarmElem.from_word(w1) * HarmElem.from_word(w2)
-        lhs = harm_elem_numeric(product, tol, max_terms)
-        r1 = mzv_numeric(w1, tol, max_terms)
-        r2 = mzv_numeric(w2, tol, max_terms)
-        diff = abs(lhs.value - r1.value * r2.value)
-        combined = (
-            lhs.error_bound
-            + abs(r1.value) * r2.error_bound
-            + abs(r2.value) * r1.error_bound
-            + r1.error_bound * r2.error_bound
-        )
+        u, v = HarmElem.from_word(w1), HarmElem.from_word(w2)
+        lo, hi, scale = _elem_bracket(u * v, tol, max_terms)
+        lo1, hi1, scale1 = _elem_bracket(u, tol, max_terms)
+        lo2, hi2, scale2 = _elem_bracket(v, tol, max_terms)
+        # every lower end is >= 0, so the product bracket is [lo1 lo2, hi1 hi2]
+        lo12, hi12, scale12 = lo1 * lo2, hi1 * hi2, scale1 * scale2
         report.record(
-            diff <= combined,
+            lo * scale12 <= hi12 * scale and lo12 * scale <= hi * scale12,
             trial=trial,
             w1=list(w1),
             w2=list(w2),
-            lhs=lhs.value,
-            rhs=r1.value * r2.value,
-            difference=diff,
-            combined_bound=combined,
+            lhs=[str(Fraction(lo, scale)), str(Fraction(hi, scale))],
+            rhs=[str(Fraction(lo12, scale12)), str(Fraction(hi12, scale12))],
         )
     return report

@@ -10,14 +10,12 @@ from zetastar.closed_forms import (
     thmB_coefficient,
     thmC_coefficient,
 )
-from zetastar.exact import PiMultiple
 from zetastar.numeric import (
     NumericValue,
     ToleranceUnreachable,
     harm_elem_numeric,
     mzsv_numeric,
     mzv_numeric,
-    pi_multiple_numeric,
     zeta_interval,
 )
 from zetastar.words import HarmElem, insertions, s_map
@@ -199,23 +197,6 @@ class TestStarEqualsExpansion:
         expanded = harm_elem_numeric(s_map(index), tol)
         diff = abs(direct.value - expanded.value)
         assert diff <= direct.error_bound + expanded.error_bound
-
-
-class TestPiMultipleNumeric:
-    def test_basel(self):
-        nv = pi_multiple_numeric(PiMultiple(Fraction(1, 6), 2))
-        assert abs(nv.value - 1.6449340668482264) < 1e-15
-
-    def test_unit(self):
-        nv = pi_multiple_numeric(PiMultiple(Fraction(1), 0))
-        assert nv.value == 1.0
-
-    def test_insertion_sum_weight_six(self):
-        # 71 pi^6 / 15120, decimal frozen from an independent high-precision
-        # evaluation
-        nv = pi_multiple_numeric(PiMultiple(Fraction(71, 15120), 6))
-        assert abs(nv.value - 4.514459837555992) < 1e-14
-        assert nv.error_bound < 1e-13
 
 
 class TestJsonShape:

@@ -1,7 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from zetastar import cli, verify, words
+from zetastar.numeric import ToleranceUnreachable, mzv_numeric
 from zetastar.verify import (
     Report,
     WordSampler,
@@ -123,10 +126,67 @@ class TestZHomomorphism:
         report = verify_z_homomorphism(seed=5, trials=10)
         assert report.ok and report.cases == 10
 
-    def test_bounds_not_vacuous(self):
+    @pytest.mark.parametrize("mutation", ["drop", "repeat"])
+    def test_bounds_not_vacuous(self, monkeypatch, mutation):
+        """With one stuffle term dropped from (or repeated in) every product,
+        the brackets no longer meet, on the side the mutation moves."""
+        full = words._stuffle_words
+
+        def mutated(u, v):
+            terms = full(u, v)
+            return terms[:-1] if mutation == "drop" else terms + terms[:1]
+
+        monkeypatch.setattr(words, "_stuffle_words", mutated)
         report = verify_z_homomorphism(seed=5, trials=10)
-        # the certified bounds should actually constrain the identity
-        assert all(f == [] for f in [report.failures])
+        assert not report.ok
+        failure = report.failures[0]
+        assert set(failure) == {"trial", "w1", "w2", "lhs", "rhs"}
+        lhs = [Fraction(end) for end in failure["lhs"]]
+        rhs = [Fraction(end) for end in failure["rhs"]]
+        assert lhs[1] < rhs[0] if mutation == "drop" else rhs[1] < lhs[0]
+
+    @pytest.mark.parametrize("tol", [1e-14, 1e-15])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fine_tolerance_passes(self, seed, tol):
+        # the identity holds, and comparing brackets leaves no rounding to miss
+        report = verify_z_homomorphism(seed, 50, tol=tol)
+        assert report.ok, report.failures[:2]
+        assert report.cases == 50
+
+    def test_fine_tolerance_from_the_cli(self, capsys):
+        code = cli.main(["verify", "zhom", "--seed", "3", "--tol", "1e-14"])
+        assert code == 0
+        assert capsys.readouterr().out.endswith(" PASS\n")
+
+    def test_tolerance_finer_than_a_float(self):
+        # the check needs only brackets, so no float rounding limits it;
+        # a float result still cannot carry such a bound
+        assert verify_z_homomorphism(1, 5, tol=1e-17).ok
+        with pytest.raises(ToleranceUnreachable):
+            mzv_numeric((2,), 1e-17)
+
+
+def _lossy_s_map(word):
+    """The merge expansion without the word itself (coefficient 1)."""
+    return s_map(word) - HarmElem.from_word(word)
+
+
+class TestProductIdentitiesNotVacuous:
+    """An expansion that loses one image word must fail every identity."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_thm6(self, monkeypatch, n):
+        monkeypatch.setattr(verify, "s_map", _lossy_s_map)
+        report = verify_thm6(3, 1, n)
+        assert report.cases == 2
+        assert [f["identity"] for f in report.failures] == ["alternating", "tailed"]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_thm7(self, monkeypatch, n):
+        monkeypatch.setattr(verify, "s_map", _lossy_s_map)
+        report = verify_thm7(3, 1, 2, n)
+        assert report.cases == 2
+        assert [f["identity"] for f in report.failures] == ["plain", "wrapped"]
 
 
 class TestReport:
