@@ -306,7 +306,8 @@ def verify_z_homomorphism(
     weight <= 6.  Each bracket is a pair of integers over a common scale,
     at most `tol`/2 wide, and the comparison is integer cross-multiplication,
     so no float decides a verdict and any positive `tol` tests the
-    identity.  Only the 4096-bit precision cap or `max_terms` stops a run
+    identity.  The bracket of each distinct single word is computed once
+    per call.  Only the 4096-bit precision cap or `max_terms` stops a run
     (ToleranceUnreachable).  The coarse default keeps the evaluations short.
     Failure records give each side's bracket as two exact fractions.
     """
@@ -315,13 +316,20 @@ def verify_z_homomorphism(
     _check_budget(tol, max_terms)
     report = Report("zhom", {"seed": seed, "trials": trials, "tol": tol})
     sampler = WordSampler(seed)
+    singles: dict[Word, tuple[int, int, int]] = {}
+
+    def single(word: Word) -> tuple[int, int, int]:
+        if word not in singles:
+            singles[word] = _elem_bracket(HarmElem.from_word(word), tol, max_terms)
+        return singles[word]
+
     for trial in range(trials):
         w1 = sampler.word(3, 4, max_weight=6, admissible=True)
         w2 = sampler.word(3, 4, max_weight=6, admissible=True)
-        u, v = HarmElem.from_word(w1), HarmElem.from_word(w2)
-        lo, hi, scale = _elem_bracket(u * v, tol, max_terms)
-        lo1, hi1, scale1 = _elem_bracket(u, tol, max_terms)
-        lo2, hi2, scale2 = _elem_bracket(v, tol, max_terms)
+        product = HarmElem.from_word(w1) * HarmElem.from_word(w2)
+        lo, hi, scale = _elem_bracket(product, tol, max_terms)
+        lo1, hi1, scale1 = single(w1)
+        lo2, hi2, scale2 = single(w2)
         # every lower end is >= 0, so the product bracket is [lo1 lo2, hi1 hi2]
         lo12, hi12, scale12 = lo1 * lo2, hi1 * hi2, scale1 * scale2
         report.record(

@@ -14,8 +14,11 @@ rendered output is sorted that way.
 
 Everything is immutable and pure.  The stuffle of two words and the merge
 expansion of a word are memoized whole, per top-level argument, in
-process-wide caches; their sub-results live only for one call.  Filling a
-cache is idempotent, so concurrent use is safe.
+process-wide least-recently-used caches of at most 4096 stuffle pairs and
+16 expansions; their sub-results live only for one call.  The bounds count
+entries, not bytes: a depth-14 expansion alone holds 8192 words, about
+1.3 MB.  Filling or evicting an entry never changes a result, so
+concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -261,7 +264,10 @@ def _elem(num: dict[Word, int], den: int) -> HarmElem:
     return out
 
 
-@lru_cache(maxsize=None)
+# 4096 pairs hold the working set of the Hypothesis law tests, whose re-drawn
+# products hit this cache: at 1024 or 256 pairs the slowest of them ran 2-2.6x
+# as long, slower than with no cache at all.  One session deck fills ~3600.
+@lru_cache(maxsize=4096)
 def _stuffle_words(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
     """Harmonic product of two bare words, as (word, multiplicity) pairs in
     no particular order.
@@ -313,7 +319,10 @@ def harmonic_product(u: HarmElem, v: HarmElem) -> HarmElem:
     return _elem({word: c for word, c in acc.items() if c}, u._den * v._den)
 
 
-@lru_cache(maxsize=None)
+# A session deck repeats about one expansion in ten, all of words of depth
+# <= 4, while one entry can hold 8192 words; so only a handful are kept, and
+# at 16 a deck peaks near 62 MB instead of 85 MB.
+@lru_cache(maxsize=16)
 def s_map(word: Word) -> HarmElem:
     """Sum of all 2^(n-1) merges of adjacent runs of the word's parts.
 

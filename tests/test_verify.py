@@ -159,6 +159,26 @@ class TestZHomomorphism:
         assert code == 0
         assert capsys.readouterr().out.endswith(" PASS\n")
 
+    def test_single_word_brackets_computed_once(self, monkeypatch):
+        expected = verify_z_homomorphism(1, 50)
+        sampler = WordSampler(1)
+        distinct = {
+            sampler.word(3, 4, max_weight=6, admissible=True) for _ in range(100)
+        }
+        full = verify._elem_bracket
+        calls = []
+
+        def counting(elem, tol, max_terms):
+            calls.append(elem)
+            return full(elem, tol, max_terms)
+
+        monkeypatch.setattr(verify, "_elem_bracket", counting)
+        report = verify_z_homomorphism(1, 50)
+        assert report == expected and report.ok
+        # one bracket per product and one per distinct single word, fewer
+        # than three per trial because the 100 sampled words repeat
+        assert len(calls) == 50 + len(distinct) < 150
+
     def test_tolerance_finer_than_a_float(self):
         # the check needs only brackets, so no float rounding limits it;
         # a float result still cannot carry such a bound

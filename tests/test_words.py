@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -270,6 +271,105 @@ class TestConcurrentUse:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == [expected] * 4
+
+
+def _words_over(parts, max_depth):
+    return [w for d in range(1, max_depth + 1) for w in product(parts, repeat=d)]
+
+
+# more distinct keys than either memo holds: 72 words give 5184 ordered
+# pairs against 4096 stuffle entries, and 81 words against 16 expansions
+STUFFLE_KEYS = list(product(_words_over(range(1, 9), 2), repeat=2))
+S_MAP_KEYS = list(product((1, 2, 3), repeat=4))
+
+
+class TestBoundedCaches:
+    def test_eviction_keeps_results_exact(self):
+        stuffle = words_module._stuffle_words
+        stuffle.cache_clear()
+        s_map.cache_clear()
+        for u, v in STUFFLE_KEYS:
+            stuffle(u, v)
+        for w in S_MAP_KEYS:
+            s_map(w)
+        for memo, keys in ((stuffle, STUFFLE_KEYS), (s_map, S_MAP_KEYS)):
+            info = memo.cache_info()
+            assert info.maxsize is not None and len(keys) > info.maxsize
+            assert info.currsize == info.maxsize
+        # the earliest keys were evicted: computing them again misses
+        misses = stuffle.cache_info().misses
+        for u, v in STUFFLE_KEYS[:50]:
+            assert dict(stuffle(u, v)) == stuffle_by_lattice_paths(u, v)
+        assert stuffle.cache_info().misses == misses + 50
+        misses = s_map.cache_info().misses
+        for w in S_MAP_KEYS[:20]:
+            assert s_map(w) == s_map_via_s1(w)
+        assert s_map.cache_info().misses == misses + 20
+
+    def test_concurrent_eviction(self):
+        # each thread walks the keys from its own offset, so the four
+        # interleave hits, misses and evictions in both memos
+        def rotated(keys, offset):
+            offset %= len(keys)
+            return keys[offset:] + keys[:offset]
+
+        def work(offset):
+            out = {}
+            for u, v in rotated(STUFFLE_KEYS, offset):
+                out[u, v] = sorted(words_module._stuffle_words(u, v))
+            for w in rotated(S_MAP_KEYS, offset):
+                out[w] = s_map(w)
+            return out
+
+        expected = work(0)  # serial run
+        offsets = [0, 7, 1500, 3001]
+        results = [None] * 4
+        start = threading.Barrier(4, timeout=30)
+
+        def worker(i):
+            start.wait()
+            results[i] = work(offsets[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * 4
+        for memo in (words_module._stuffle_words, s_map):
+            info = memo.cache_info()
+            assert info.currsize == info.maxsize
+
+    def test_expansion_memory_stays_flat(self):
+        maxsize = s_map.cache_info().maxsize
+        depth_11 = list(product((1, 2), repeat=11))[: 3 * maxsize]
+
+        def footprint(elem):
+            num = elem._num
+            return sys.getsizeof(elem) + sys.getsizeof(num) + sum(map(sys.getsizeof, num))
+
+        # every depth-11 expansion has 2^10 words of the same lengths
+        largest = max(footprint(s_map.__wrapped__(w)) for w in depth_11[:3])
+        s_map.cache_clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for w in depth_11:
+                s_map(w)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # maxsize entries stay; the slack covers the cache's own links, the
+        # interpreter's tuple free lists and, at the peak, one miss's
+        # expansion with its suffix images
+        assert current - base < (maxsize + 2) * largest
+        assert peak - base < (maxsize + 3) * largest
 
 
 class TestXYWords:
