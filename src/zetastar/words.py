@@ -13,12 +13,9 @@ out.  Words order lexicographically by their part sequences and all
 rendered output is sorted that way.
 
 Everything is immutable and pure.  The stuffle of two words and the merge
-expansion of a word are memoized whole, per top-level argument, in
-process-wide least-recently-used caches of at most 4096 stuffle pairs and
-16 expansions; their sub-results live only for one call.  The bounds count
-entries, not bytes: a depth-14 expansion alone holds 8192 words, about
-1.3 MB.  Filling or evicting an entry never changes a result, so
-concurrent use is safe.
+expansion of a word are each built bottom-up over a table of suffixes that
+lives for one call, and nothing is kept between calls, so memory holds
+only the results the caller keeps and concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -147,6 +144,10 @@ class HarmElem:
 
     @classmethod
     def from_word(cls, word: Iterable[int], coeff: Fraction | int = 1) -> "HarmElem":
+        if type(coeff) is int:
+            # already an integer numerator over 1: skip the Fraction round trip
+            word = tuple(word)
+            return _elem({word: coeff} if coeff else {}, 1)
         return cls({tuple(word): coeff})
 
     def items(self) -> list[tuple[Word, Fraction]]:
@@ -264,43 +265,61 @@ def _elem(num: dict[Word, int], den: int) -> HarmElem:
     return out
 
 
-# 4096 pairs hold the working set of the Hypothesis law tests, whose re-drawn
-# products hit this cache: at 1024 or 256 pairs the slowest of them ran 2-2.6x
-# as long, slower than with no cache at all.  One session deck fills ~3600.
-@lru_cache(maxsize=4096)
+# A pass-through that keeps nothing: a session deck repeated about 3% of its
+# stuffle lookups, while the retained results held most of its memory.
+# cache_info() and cache_clear() stay for the benchmark tracer's counters;
+# the decorator goes once the benchmark reads a stats stream instead.
+@lru_cache(maxsize=0)
 def _stuffle_words(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
-    """Harmonic product of two bare words, as (word, multiplicity) pairs in
-    no particular order.
+    """Harmonic product of two bare words, as distinct (word, multiplicity)
+    pairs in no particular order.
 
     Recursion: z_p w1 * z_q w2 = z_p (w1 * z_q w2) + z_q (z_p w1 * w2)
     + z_{p+q} (w1 * w2), with the empty word as two-sided unit.  It runs
     bottom-up over the suffix positions (i, j) of u and v, two rows of the
-    table at a time, so the sub-products live only for this call.  Within
+    table at a time, so the sub-products live only for this call.  Each
+    cell is a pair of parallel lists, words and multiplicities.  Within
     each of the three groups the words are distinct and z_{p+q} differs from
-    z_p and z_q, so multiplicities add only where p == q.
+    z_p and z_q, so the groups are concatenated as they are, except where
+    p == q: only there can two words coincide, and a dict adds their
+    multiplicities.
     """
     if not u:
         return ((v, 1),)
     if not v:
         return ((u, 1),)
     m = len(v)
-    below = [{v[j:]: 1} for j in range(m + 1)]
+    below = [([v[j:]], [1]) for j in range(m + 1)]
     for i in range(len(u) - 1, -1, -1):
         p = u[i]
-        row = [None] * m + [{u[i:]: 1}]
+        head = (p,)
+        row = [None] * m + [([u[i:]], [1])]
         for j in range(m - 1, -1, -1):
             q = v[j]
-            cell = {(p,) + w: c for w, c in below[j].items()}
+            down_words, down_mults = below[j]
+            right_words, right_mults = row[j + 1]
             if p == q:
-                for w, c in row[j + 1].items():
-                    key = (p,) + w
+                cell = dict(zip([head + w for w in down_words], down_mults))
+                for w, c in zip(right_words, right_mults):
+                    key = head + w
                     cell[key] = cell.get(key, 0) + c
+                words, mults = list(cell), list(cell.values())
             else:
-                cell.update({(q,) + w: c for w, c in row[j + 1].items()})
-            cell.update({(p + q,) + w: c for w, c in below[j + 1].items()})
-            row[j] = cell
+                tail = (q,)
+                words = [head + w for w in down_words]
+                words += [tail + w for w in right_words]
+                mults = down_mults + right_mults
+            diag_words, diag_mults = below[j + 1]
+            merged = (p + q,)
+            words += [merged + w for w in diag_words]
+            mults += diag_mults
+            row[j] = (words, mults)
         below = row
-    return tuple(below[0].items())
+    words, mults = below[0]
+    # through a list, so the tuple is allocated at its final size: tuple() of
+    # a zip guesses a size and shrinks it, which leaves one more tuple per
+    # call on the interpreter's free lists (up to 2000 per size)
+    return tuple([*zip(words, mults)])
 
 
 def harmonic_product(u: HarmElem, v: HarmElem) -> HarmElem:
@@ -319,10 +338,11 @@ def harmonic_product(u: HarmElem, v: HarmElem) -> HarmElem:
     return _elem({word: c for word, c in acc.items() if c}, u._den * v._den)
 
 
-# A session deck repeats about one expansion in ten, all of words of depth
-# <= 4, while one entry can hold 8192 words; so only a handful are kept, and
-# at 16 a deck peaks near 62 MB instead of 85 MB.
-@lru_cache(maxsize=16)
+# A pass-through that keeps nothing, like the one on _stuffle_words and for
+# the same tracer; it goes with that one.  A session deck repeated about one
+# expansion in ten, all of words of depth <= 4, while one entry can hold
+# 8192 words.
+@lru_cache(maxsize=0)
 def s_map(word: Word) -> HarmElem:
     """Sum of all 2^(n-1) merges of adjacent runs of the word's parts.
 
@@ -355,19 +375,15 @@ def word_to_xy(word: Word) -> str:
 
 def xy_to_word(s: str) -> Word:
     """Inverse of :func:`word_to_xy`; valid only for strings ending in y."""
-    parts = []
-    run = 0
-    for ch in s:
-        if ch == "x":
-            run += 1
-        elif ch == "y":
-            parts.append(run + 1)
-            run = 0
-        else:
-            raise ValueError(f"invalid letter {ch!r} in xy-word")
-    if run:
+    runs = s.split("y")
+    # the y's number one fewer than the runs; every letter is an x or a y
+    # exactly when the x's make up the rest
+    if s.count("x") + len(runs) - 1 != len(s):
+        bad = next(ch for ch in s if ch not in "xy")
+        raise ValueError(f"invalid letter {bad!r} in xy-word")
+    if runs.pop():
         raise ValueError("xy-word does not end in y")
-    return tuple(parts)
+    return tuple([len(run) + 1 for run in runs])
 
 
 def s1_substitute(xyword: str) -> list[str]:

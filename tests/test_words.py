@@ -143,6 +143,22 @@ class TestHarmonicProduct:
             oracle = stuffle_by_lattice_paths(u, v)
             assert got == oracle, (u, v)
 
+    def test_kernel_words_distinct_and_exact(self):
+        # harmonic_product adds the pairs up, so it would hide a word listed
+        # twice; only heads p == q can make two words coincide
+        ones_to_threes = [w for d in range(4) for w in product((1, 2, 3), repeat=d)]
+        pairs = [(u, v) for u in ones_to_threes for v in ones_to_threes]
+        pairs += [
+            ((1, 1, 1, 1, 1), (1, 1, 1, 1, 1)),
+            ((2, 1, 2, 1, 2), (2, 2, 1, 1, 2)),
+            ((3, 3, 1, 3, 3), (3, 1, 3, 1, 3)),
+            ((1, 2, 1, 2, 1), (2, 1, 2, 1, 2)),
+        ]
+        for u, v in pairs:
+            terms = words_module._stuffle_words(u, v)
+            assert len({w for w, _ in terms}) == len(terms), (u, v)
+            assert dict(terms) == stuffle_by_lattice_paths(u, v), (u, v)
+
     def test_bilinearity(self):
         u = HarmElem.from_word((2,), 3) + HarmElem.from_word((1, 1), F(-1, 2))
         v = HarmElem.from_word((2, 1))
@@ -277,26 +293,44 @@ def _words_over(parts, max_depth):
     return [w for d in range(1, max_depth + 1) for w in product(parts, repeat=d)]
 
 
-# more distinct keys than either memo holds: 72 words give 5184 ordered
-# pairs against 4096 stuffle entries, and 81 words against 16 expansions
+# more distinct keys than the old bounded memos held: 72 words give 5184
+# ordered pairs against 4096 stuffle entries, and 81 words against 16
+# expansions
 STUFFLE_KEYS = list(product(_words_over(range(1, 9), 2), repeat=2))
 S_MAP_KEYS = list(product((1, 2, 3), repeat=4))
 
 
+def _retained(call, keys, footprint):
+    """(current, peak) traced bytes left behind by calling `call` on every
+    key, each result dropped at once, in units of the largest result's
+    footprint.  With nothing kept both stay small; the tests' slack of 2
+    and 3 footprints covers the interpreter's tuple free lists and, at the
+    peak, one call's result with its suffix table."""
+    largest = max(footprint(call.__wrapped__(*key)) for key in keys)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for key in keys:
+            call(*key)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (current - base) / largest, (peak - base) / largest
+
+
 class TestBoundedCaches:
+    """Both word memos are bounded at zero entries: each call computes
+    afresh and nothing stays behind."""
+
     def test_eviction_keeps_results_exact(self):
         stuffle = words_module._stuffle_words
-        stuffle.cache_clear()
-        s_map.cache_clear()
         for u, v in STUFFLE_KEYS:
             stuffle(u, v)
         for w in S_MAP_KEYS:
             s_map(w)
-        for memo, keys in ((stuffle, STUFFLE_KEYS), (s_map, S_MAP_KEYS)):
-            info = memo.cache_info()
-            assert info.maxsize is not None and len(keys) > info.maxsize
-            assert info.currsize == info.maxsize
-        # the earliest keys were evicted: computing them again misses
+        for memo in (stuffle, s_map):
+            assert memo.cache_info().currsize == 0
+        # nothing was kept: computing a key again misses
         misses = stuffle.cache_info().misses
         for u, v in STUFFLE_KEYS[:50]:
             assert dict(stuffle(u, v)) == stuffle_by_lattice_paths(u, v)
@@ -308,7 +342,7 @@ class TestBoundedCaches:
 
     def test_concurrent_eviction(self):
         # each thread walks the keys from its own offset, so the four
-        # interleave hits, misses and evictions in both memos
+        # interleave different products and expansions
         def rotated(keys, offset):
             offset %= len(keys)
             return keys[offset:] + keys[:offset]
@@ -343,33 +377,25 @@ class TestBoundedCaches:
         assert not any(t.is_alive() for t in threads)
         assert results == [expected] * 4
         for memo in (words_module._stuffle_words, s_map):
-            info = memo.cache_info()
-            assert info.currsize == info.maxsize
+            assert memo.cache_info().currsize == 0
 
     def test_expansion_memory_stays_flat(self):
-        maxsize = s_map.cache_info().maxsize
-        depth_11 = list(product((1, 2), repeat=11))[: 3 * maxsize]
-
         def footprint(elem):
             num = elem._num
             return sys.getsizeof(elem) + sys.getsizeof(num) + sum(map(sys.getsizeof, num))
 
         # every depth-11 expansion has 2^10 words of the same lengths
-        largest = max(footprint(s_map.__wrapped__(w)) for w in depth_11[:3])
-        s_map.cache_clear()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            for w in depth_11:
-                s_map(w)
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # maxsize entries stay; the slack covers the cache's own links, the
-        # interpreter's tuple free lists and, at the peak, one miss's
-        # expansion with its suffix images
-        assert current - base < (maxsize + 2) * largest
-        assert peak - base < (maxsize + 3) * largest
+        depth_11 = [(w,) for w in product((1, 2), repeat=11)][:48]
+        current, peak = _retained(s_map, depth_11, footprint)
+        assert current < 2 and peak < 3
+
+    def test_stuffle_memory_stays_flat(self):
+        def footprint(terms):
+            pairs = sum(sys.getsizeof(pair) + sys.getsizeof(pair[0]) for pair in terms)
+            return sys.getsizeof(terms) + pairs
+
+        current, peak = _retained(words_module._stuffle_words, STUFFLE_KEYS, footprint)
+        assert current < 2 and peak < 3
 
 
 class TestXYWords:
@@ -377,8 +403,28 @@ class TestXYWords:
         assert word_to_xy((3, 1)) == "xxyy"
         assert word_to_xy(()) == ""
         assert xy_to_word("xxyy") == (3, 1)
-        with pytest.raises(ValueError):
-            xy_to_word("yx")
+        assert xy_to_word("") == ()
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("yx", "xy-word does not end in y"),
+            ("x", "xy-word does not end in y"),
+            ("xzy", "invalid letter 'z' in xy-word"),
+            # the first bad letter is named, even before a missing final y
+            ("yYqx", "invalid letter 'Y' in xy-word"),
+            ("xy\u00d7", "invalid letter '\u00d7' in xy-word"),
+        ],
+    )
+    def test_conversion_rejects(self, bad, message):
+        with pytest.raises(ValueError) as err:
+            xy_to_word(bad)
+        assert str(err.value) == message
+
+    def test_conversion_round_trip(self):
+        for d in range(7):
+            for word in product((1, 2, 3, 4), repeat=d):
+                assert xy_to_word(word_to_xy(word)) == word
 
     def test_substitution_single_letters(self):
         assert s1_substitute("y") == ["x", "y"]
@@ -506,13 +552,24 @@ class TestHarmElem:
 
     def test_rejects_non_rational_coefficients(self):
         # a float would be stored as its binary fraction, 0.1 as n / 2^55
-        for bad in (0.1, 1e-300, 1.0, "1/2"):
+        for bad in (0.1, 1e-300, 1.0, 0.0, "1/2"):
             with pytest.raises(TypeError):
                 HarmElem.from_word((2,), bad)
             with pytest.raises(TypeError):
                 HarmElem({(2,): bad})
         parsed = HarmElem.from_json_obj([{"word": [2], "coeff": "1/10"}])
         assert parsed == HarmElem.from_word((2,), F(1, 10))
+
+    def test_from_word_coefficient_types(self):
+        # a plain int skips the Fraction round trip; every other type goes
+        # through __init__ and lands in the same canonical form
+        for coeff in (1, -7, 3**80, F(6, 2), True):
+            fast = HarmElem.from_word([2, 1], coeff)
+            assert fast == HarmElem({(2, 1): F(coeff)})
+            assert fast._den == 1 and type(fast._num[2, 1]) is int
+            assert list(fast._num) == [(2, 1)]
+        for zero in (0, F(0), False):
+            assert HarmElem.from_word((2,), zero) == HarmElem.zero()
 
     def test_scalar_multiplication(self):
         elem = HarmElem.from_word((2,), 3)
