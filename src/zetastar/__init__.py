@@ -31,8 +31,8 @@ _EXPORTS = {
     ),
     "exact": ("PiMultiple", "bernoulli", "csc_coefficient", "parse_rational"),
     "numeric": (
-        "DEFAULT_MAX_TERMS", "DEFAULT_TOL", "NumericValue", "ToleranceUnreachable",
-        "harm_elem_numeric", "mzsv_numeric", "mzv_numeric", "zeta_interval",
+        "DEFAULT_TOL", "NumericValue", "ToleranceUnreachable", "harm_elem_numeric",
+        "mzsv_numeric", "mzv_numeric", "zeta_interval",
     ),
     "series": ("PowerSeries",),
     "verify": (

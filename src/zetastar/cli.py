@@ -12,8 +12,8 @@ insertions  list the 2n+1 insertions of a 2 into the alternating (3,1) string
 
 Every command accepts --format json|text (default text).  Results go to
 stdout, diagnostics to stderr.  Exit codes: 0 success, 1 bad input or usage,
-2 requested tolerance unreachable under the term cap, 3 internal invariant
-failure (including a failed verification).
+2 requested tolerance unreachable, 3 internal invariant failure (including a
+failed verification).
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--index", required=True)
     p.add_argument("--star", action="store_true", help="evaluate the star sum")
     p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--max-terms", type=int, default=argparse.SUPPRESS)
 
     p = sub.add_parser("coeff", parents=[common], help="exact closed forms")
     which = p.add_subparsers(dest="family", required=True)
@@ -103,7 +102,6 @@ def _build_parser() -> _Parser:
     chk.add_argument("--seed", type=int, default=1)
     chk.add_argument("--trials", type=int, default=50)
     chk.add_argument("--tol", type=float, default=argparse.SUPPRESS)
-    chk.add_argument("--max-terms", type=int, default=argparse.SUPPRESS)
 
     p = sub.add_parser("bernoulli", parents=[common], help="Bernoulli number")
     p.add_argument("--n", type=int, required=True)
@@ -124,28 +122,24 @@ def _emit(text_form: str, json_obj, fmt: str) -> None:
 
 
 def _budget(args) -> dict:
-    """The --tol and --max-terms given; the library's defaults stand for the
-    rest, so they are written in one place."""
-    keys = ("tol", "max_terms")
-    return {key: getattr(args, key) for key in keys if hasattr(args, key)}
+    """The --tol given; the library's default stands otherwise, so it is
+    written in one place."""
+    return {"tol": args.tol} if hasattr(args, "tol") else {}
 
 
 def _run_expand(args) -> int:
-    from .words import parse_index, s_map
+    from .words import s_map
 
-    index = parse_index(args.index)
-    elem = s_map(index)
+    elem = s_map(args.index)
     _emit(str(elem), elem.to_json_obj(), args.format)
     return EXIT_OK
 
 
 def _run_eval(args) -> int:
     from .numeric import mzsv_numeric, mzv_numeric
-    from .words import parse_index
 
-    index = parse_index(args.index)
     evaluate = mzsv_numeric if args.star else mzv_numeric
-    nv = evaluate(index, **_budget(args))
+    nv = evaluate(args.index, **_budget(args))
     _emit(
         f"{nv.value:.17g} (error <= {nv.error_bound:.3e})",
         nv.to_json_obj(),
@@ -229,10 +223,20 @@ _RUNNERS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    # Python refuses str(int) past 4300 digits by default (3.10.7 and later),
+    # and B_2100 has more.  The inputs are read under that limit, which keeps
+    # each number given short; the results are computed and printed without it.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
         args = parser.parse_args(argv)
         if not hasattr(args, "format"):
             args.format = "text"
+        if hasattr(args, "index"):
+            from .words import parse_index
+
+            args.index = parse_index(args.index)
+        if digit_limit:
+            sys.set_int_max_str_digits(0)
         return _RUNNERS[args.command](args)
     except ValueError as exc:  # usage, index syntax and library range checks
         print(f"error: {exc}", file=sys.stderr)
@@ -243,6 +247,9 @@ def main(argv: list[str] | None = None) -> int:
     except NotRationalError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    finally:
+        if digit_limit:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

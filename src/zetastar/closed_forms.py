@@ -54,8 +54,11 @@ def thm1_C(m: int, n: int) -> Fraction:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return Fraction(1)
+    # filled from below, each call finding the ones before it memoized, so
+    # the stack does not grow with n
+    C = [thm1_C(m, j) for j in range(n)]
     total = sum(
-        (-1) ** l * comb(2 * m * n, 2 * m * l) * bernoulli(2 * m * l) * thm1_C(m, n - l)
+        (-1) ** l * comb(2 * m * n, 2 * m * l) * bernoulli(2 * m * l) * C[n - l]
         for l in range(1, n + 1)
     )
     return total / (2 * n)

@@ -24,7 +24,7 @@ from ._base import Record
 from .closed_forms import thmA_coefficient
 from .cyclotomic import CycloElem, cyclo_rational_value, cyclo_reduce
 from .exact import csc_coefficient
-from .numeric import DEFAULT_MAX_TERMS, _check_budget, _elem_bracket
+from .numeric import _check_tol, _elem_bracket
 from .series import PowerSeries
 from .words import HarmElem, Word, s_map, s_map_via_s1
 
@@ -292,12 +292,7 @@ def verify_s_consistency(max_depth: int, max_part: int) -> Report:
     return report
 
 
-def verify_z_homomorphism(
-    seed: int,
-    trials: int,
-    tol: float = 0.25,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> Report:
+def verify_z_homomorphism(seed: int, trials: int, tol: float = 0.25) -> Report:
     """Numeric check that evaluation turns the harmonic product into the
     product of values, on exact brackets: the bracket of Z(w1 * w2) must
     meet the product of the brackets of Z(w1) and Z(w2).
@@ -307,27 +302,27 @@ def verify_z_homomorphism(
     at most `tol`/2 wide, and the comparison is integer cross-multiplication,
     so no float decides a verdict and any positive `tol` tests the
     identity.  The bracket of each distinct single word is computed once
-    per call.  Only the 4096-bit precision cap or `max_terms` stops a run
+    per call.  Only the 4096-bit precision cap stops a run
     (ToleranceUnreachable).  The coarse default keeps the evaluations short.
     Failure records give each side's bracket as two exact fractions.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
-    _check_budget(tol, max_terms)
+    _check_tol(tol)
     report = Report("zhom", {"seed": seed, "trials": trials, "tol": tol})
     sampler = WordSampler(seed)
     singles: dict[Word, tuple[int, int, int]] = {}
 
     def single(word: Word) -> tuple[int, int, int]:
         if word not in singles:
-            singles[word] = _elem_bracket(HarmElem.from_word(word), tol, max_terms)
+            singles[word] = _elem_bracket(HarmElem.from_word(word), tol)
         return singles[word]
 
     for trial in range(trials):
         w1 = sampler.word(3, 4, max_weight=6, admissible=True)
         w2 = sampler.word(3, 4, max_weight=6, admissible=True)
         product = HarmElem.from_word(w1) * HarmElem.from_word(w2)
-        lo, hi, scale = _elem_bracket(product, tol, max_terms)
+        lo, hi, scale = _elem_bracket(product, tol)
         lo1, hi1, scale1 = single(w1)
         lo2, hi2, scale2 = single(w2)
         # every lower end is >= 0, so the product bracket is [lo1 lo2, hi1 hi2]

@@ -10,7 +10,7 @@ import pytest
 
 import zetastar
 from zetastar.cli import main
-from zetastar.exact import PiMultiple
+from zetastar.exact import PiMultiple, bernoulli
 from zetastar.words import HarmElem
 
 
@@ -67,22 +67,12 @@ class TestEval:
         assert "admissible" in err
 
     def test_unreachable_tolerance_exit_code(self, capsys):
-        code, _, err = run(
-            capsys,
-            "eval",
-            "--index",
-            "2,1,1,1,1",
-            "--tol",
-            "1e-9",
-            "--max-terms",
-            "16",
-        )
+        # below the float64 resolution of zeta(2)
+        code, _, err = run(capsys, "eval", "--index", "2", "--tol", "1e-17")
         assert code == 2
-        assert "tolerance" in err.lower()
+        assert err == "error: bound 3.042e-17 exceeds tolerance 1.000e-17\n"
 
-    @pytest.mark.parametrize(
-        "flag,value", [("--tol", "1e-8"), ("--max-terms", "10000000")]
-    )
+    @pytest.mark.parametrize("flag,value", [("--tol", "1e-8")])
     def test_default_budget_is_the_library_default(self, capsys, flag, value):
         default = run(capsys, "eval", "--index", "2,2")
         assert default[0] == 0
@@ -189,8 +179,13 @@ class TestErrors:
         ]
         + [
             pytest.param(("eval", "--index", "2", "--tol", "nan"), id="eval-tol-nan"),
+            # there is no term cap to set
             pytest.param(
                 ("eval", "--index", "2", "--max-terms", "0"), id="eval-max-terms-0"
+            ),
+            pytest.param(
+                ("verify", "zhom", "--trials", "1", "--max-terms", "0"),
+                id="zhom-max-terms-0",
             ),
         ],
     )
@@ -206,6 +201,27 @@ class TestErrors:
     def test_negative_bernoulli(self, capsys):
         code, _, _ = run(capsys, "bernoulli", "--n", "-2")
         assert code == 1
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="Python before 3.10.7 sets no limit on str(int)",
+)
+class TestLongOutput:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_past_the_int_digit_limit(self, capsys, fmt):
+        # B_2100's numerator has 4419 digits, past the default limit of 4300;
+        # main lifts the limit and restores it on return
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "bernoulli", "--n", "2100", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        printed = out[:-1] if fmt == "text" else json.loads(out)["bernoulli"]
+        sys.set_int_max_str_digits(0)
+        try:
+            assert printed == str(bernoulli(2100))
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestDeterminism:

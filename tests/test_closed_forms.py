@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import comb, factorial
 
@@ -47,6 +48,18 @@ class TestThm1:
         for m in range(1, 4):
             for n in range(5):
                 assert mzv_repeated_2m(m, n).coeff == newton_e_oracle(m, n), (m, n)
+
+    def test_stack_depth_does_not_grow_with_n(self):
+        # a recursion one level per n needs more than 120 frames for n = 80
+        expected = newton_e_oracle(1, 80)
+        thm1_C.cache_clear()  # so the table is filled from n = 0 under the limit
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(120)
+        try:
+            value = thm1_C(1, 80)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert value * F(-4) ** 80 / factorial(160) == expected
 
 
 class TestEuler:

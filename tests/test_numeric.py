@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from zetastar import numeric
 from zetastar.closed_forms import (
     mzv_31_repeated,
     thmA_coefficient,
@@ -72,21 +73,22 @@ class TestMzvNumeric:
             mzsv_numeric((1, 1), 1e-6)
 
     def test_unreachable_tolerance(self):
-        # the term cap binds on the cutoff of each sweep
-        with pytest.raises(ToleranceUnreachable):
-            mzv_numeric((2, 1, 1, 1, 1), 1e-8, max_terms=16)
         # below the float64 resolution of zeta(2)
         with pytest.raises(ToleranceUnreachable):
             mzv_numeric((2,), 1e-17)
 
     def test_log_power_tail_within_cap(self):
         # zeta(2,1,1,1,1) = zeta(6) = pi^6/945 by duality
-        nv = mzv_numeric((2, 1, 1, 1, 1), 1e-8, max_terms=100_000)
+        nv = mzv_numeric((2, 1, 1, 1, 1), 1e-8)
         assert nv.error_bound <= 1e-8
         assert _contains(nv, _closed_form(Fraction(1, 945), 6))
 
     def test_deterministic(self):
         assert mzv_numeric((3, 2), 1e-9) == mzv_numeric((3, 2), 1e-9)
+
+    def test_keeps_nothing_between_calls(self):
+        assert mzv_numeric((2,), 1e-8) == mzv_numeric((2,), 1e-8)
+        assert numeric._partial_cache == {}
 
 
 class TestMzsvNumeric:

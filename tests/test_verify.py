@@ -168,9 +168,9 @@ class TestZHomomorphism:
         full = verify._elem_bracket
         calls = []
 
-        def counting(elem, tol, max_terms):
+        def counting(elem, tol):
             calls.append(elem)
-            return full(elem, tol, max_terms)
+            return full(elem, tol)
 
         monkeypatch.setattr(verify, "_elem_bracket", counting)
         report = verify_z_homomorphism(1, 50)
