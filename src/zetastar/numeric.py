@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 
 from ._base import FrozenRecord, ToleranceUnreachable
-from .words import HarmElem, Word, format_index, is_admissible, word_to_xy
+from .words import HarmElem, Word, _decode, format_index, is_admissible, word_to_xy
 
 __all__ = [
     "DEFAULT_TOL",
@@ -145,7 +145,7 @@ def _elem_bracket(elem: HarmElem, tol: float) -> tuple[int, int, int]:
     """The exact bracket (lo, hi, scale) of the value of a linear combination
     of admissible words, at most tol/2 wide."""
     _check_tol(tol)
-    terms = [(_letters(w, True), c) for w, c in elem._num.items()]
+    terms = [(_letters(_decode(k), True), c) for k, c in elem._num.items()]
     return _bracket(terms, elem._den, tol)
 
 

@@ -12,6 +12,19 @@ expansion run on integers; coefficients become Fractions only on the way
 out.  Words order lexicographically by their part sequences and all
 rendered output is sorted that way.
 
+Inside this module a word is held as a ``str`` with one code point per
+part, ``"".join(map(chr, word))``.  A string caches its hash and compares
+by memcmp, so a word is hashed once however often the products look it up,
+and prefixing a letter is one concatenation.  Strings order by code point,
+which is the tuples' lexicographic order, so sorting the strings sorts the
+words.  Words become tuples again only on the way out (``items``,
+``words``, iteration, ``coeff``, rendering and JSON) and for the numeric
+evaluator, through :func:`_decode`.  The price is a limit: a part is at
+most 1114111 (0x10FFFF, the largest code point).  That covers the parts
+given, the merged parts of a product and the block sums of an expansion;
+past it a ValueError names the limit, and :func:`parse_index` refuses such
+parts up front.
+
 Everything is immutable and pure.  The stuffle of two words and the merge
 expansion of a word are each built bottom-up over a table of suffixes that
 lives for one call, and nothing is kept between calls, so memory holds
@@ -47,6 +60,28 @@ __all__ = [
 
 Word = tuple[int, ...]
 
+# The largest code point, so the largest part a word's key can hold.
+_MAX_PART = 0x10FFFF
+
+
+def _out_of_range(what: str, part: int) -> ValueError:
+    limit = f"word parts are at most {_MAX_PART}"
+    return ValueError(f"{what} {part} is out of range: {limit}")
+
+
+def _encode(word: Word) -> str:
+    """The key of a word (any sequence of ints): one code point per part."""
+    try:
+        return "".join(map(chr, word))
+    except (ValueError, OverflowError):
+        bad = next(k for k in word if not 0 <= k <= _MAX_PART)
+        raise _out_of_range("part", bad) from None
+
+
+def _decode(key: str) -> Word:
+    """The word of a key; inverse of :func:`_encode`."""
+    return tuple(map(ord, key))
+
 
 def weight(word: Word) -> int:
     """Sum of the parts; 0 for the empty word."""
@@ -78,7 +113,8 @@ def parse_index(s: str) -> Word:
     """Parse comma-separated positive integers, whitespace tolerated.
 
     Rejects empty input, empty parts (so also trailing commas), zeros,
-    negative numbers and digits outside ASCII 0-9.
+    negative numbers, digits outside ASCII 0-9 and parts above 1114111, the
+    largest a word holds.
     """
     if not s.strip():
         raise ParseError("empty index", 1)
@@ -92,6 +128,8 @@ def parse_index(s: str) -> Word:
         value = int(chunk)
         if value < 1:
             raise ParseError("parts must be >= 1", pos)
+        if value > _MAX_PART:
+            raise ParseError(f"parts must be <= {_MAX_PART}", pos)
         parts.append(value)
     return tuple(parts)
 
@@ -104,27 +142,29 @@ class HarmElem:
     """A finite Q-linear combination of words.
 
     Stored as integer numerators over one shared positive denominator, in
-    lowest terms: ``_num`` maps each word to a nonzero int, ``_den`` is >= 1,
-    and the gcd of ``_den`` with every numerator is 1 (the zero element is
-    ``{}`` over 1).  That form is canonical, so equality compares the
-    denominators and the numerator maps.  ``items`` and ``coeff`` hand the
+    lowest terms: ``_num`` maps the key of each word (see :func:`_encode`)
+    to a nonzero int, ``_den`` is >= 1, and the gcd of ``_den`` with every
+    numerator is 1 (the zero element is ``{}`` over 1).  That form is
+    canonical, so equality compares the denominators and the numerator maps.  ``items`` and ``coeff`` hand the
     coefficients out as Fractions.  Coefficients come in as ints or
-    Fractions; anything else, a float included, raises TypeError.
+    Fractions; anything else, a float included, raises TypeError.  A word
+    with a part past the limit raises ValueError, whatever its coefficient.
     """
 
     __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[Word, Fraction | int] | None = None) -> None:
-        clean: dict[Word, Fraction] = {}
+        clean: dict[str, Fraction] = {}
         if terms:
             for word, coeff in terms.items():
                 if not isinstance(coeff, (int, Fraction)):
                     # a float would be stored as its exact binary fraction
                     kind = type(coeff).__name__
                     raise TypeError(f"coefficient must be int or Fraction, got {kind}")
+                key = _encode(word)
                 coeff = Fraction(coeff)
                 if coeff:
-                    clean[tuple(word)] = coeff
+                    clean[key] = coeff
         # Over the lcm of the reduced denominators this is already in lowest
         # terms: for each prime p of den, the term whose denominator holds p's
         # full power keeps a numerator prime to p.
@@ -144,22 +184,23 @@ class HarmElem:
 
     @classmethod
     def from_word(cls, word: Iterable[int], coeff: Fraction | int = 1) -> "HarmElem":
+        word = tuple(word)
         if type(coeff) is int:
             # already an integer numerator over 1: skip the Fraction round trip
-            word = tuple(word)
-            return _elem({word: coeff} if coeff else {}, 1)
-        return cls({tuple(word): coeff})
+            key = _encode(word)
+            return _elem({key: coeff} if coeff else {}, 1)
+        return cls({word: coeff})
 
     def items(self) -> list[tuple[Word, Fraction]]:
         """Terms sorted by word in the canonical (descending) output order."""
         num, den = self._num, self._den
-        return [(w, Fraction(num[w], den)) for w in sorted(num, reverse=True)]
+        return [(_decode(k), Fraction(num[k], den)) for k in sorted(num, reverse=True)]
 
     def words(self) -> list[Word]:
-        return sorted(self._num, reverse=True)
+        return list(map(_decode, sorted(self._num, reverse=True)))
 
     def coeff(self, word: Word) -> Fraction:
-        return Fraction(self._num.get(tuple(word), 0), self._den)
+        return Fraction(self._num.get(_encode(tuple(word)), 0), self._den)
 
     def __len__(self) -> int:
         return len(self._num)
@@ -251,7 +292,7 @@ class HarmElem:
         return cls(acc)
 
 
-def _elem(num: dict[Word, int], den: int) -> HarmElem:
+def _elem(num: dict[str, int], den: int) -> HarmElem:
     """Wrap nonzero integer numerators over a positive denominator, cancelling
     their common factor with it (none is possible when den is 1)."""
     if den != 1:
@@ -270,47 +311,50 @@ def _elem(num: dict[Word, int], den: int) -> HarmElem:
 # cache_info() and cache_clear() stay for the benchmark tracer's counters;
 # the decorator goes once the benchmark reads a stats stream instead.
 @lru_cache(maxsize=0)
-def _stuffle_words(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
-    """Harmonic product of two bare words, as distinct (word, multiplicity)
-    pairs in no particular order.
+def _stuffle_words(u: str, v: str) -> tuple[tuple[str, int], ...]:
+    """Harmonic product of two bare words, given and returned as keys, as
+    distinct (key, multiplicity) pairs in no particular order.
 
     Recursion: z_p w1 * z_q w2 = z_p (w1 * z_q w2) + z_q (z_p w1 * w2)
     + z_{p+q} (w1 * w2), with the empty word as two-sided unit.  It runs
     bottom-up over the suffix positions (i, j) of u and v, two rows of the
     table at a time, so the sub-products live only for this call.  Each
-    cell is a pair of parallel lists, words and multiplicities.  Within
-    each of the three groups the words are distinct and z_{p+q} differs from
-    z_p and z_q, so the groups are concatenated as they are, except where
-    p == q: only there can two words coincide, and a dict adds their
-    multiplicities.
+    cell is a pair of parallel lists, keys and multiplicities; a letter is
+    prepended by concatenation, and the merged letter is
+    chr(ord(p) + ord(q)).  Within each of the three groups the words are
+    distinct and z_{p+q} differs from z_p and z_q, so the groups are
+    concatenated as they are, except where p == q: only there can two words
+    coincide, and a dict adds their multiplicities.
     """
     if not u:
         return ((v, 1),)
     if not v:
         return ((u, 1),)
+    top = ord(max(u)) + ord(max(v))  # the largest merged part, in every product
+    if top > _MAX_PART:
+        raise _out_of_range("merged part", top)
     m = len(v)
     below = [([v[j:]], [1]) for j in range(m + 1)]
     for i in range(len(u) - 1, -1, -1):
         p = u[i]
-        head = (p,)
+        head = ord(p)
         row = [None] * m + [([u[i:]], [1])]
         for j in range(m - 1, -1, -1):
             q = v[j]
             down_words, down_mults = below[j]
             right_words, right_mults = row[j + 1]
             if p == q:
-                cell = dict(zip([head + w for w in down_words], down_mults))
+                cell = dict(zip([p + w for w in down_words], down_mults))
                 for w, c in zip(right_words, right_mults):
-                    key = head + w
+                    key = p + w
                     cell[key] = cell.get(key, 0) + c
                 words, mults = list(cell), list(cell.values())
             else:
-                tail = (q,)
-                words = [head + w for w in down_words]
-                words += [tail + w for w in right_words]
+                words = [p + w for w in down_words]
+                words += [q + w for w in right_words]
                 mults = down_mults + right_mults
             diag_words, diag_mults = below[j + 1]
-            merged = (p + q,)
+            merged = chr(head + ord(q))
             words += [merged + w for w in diag_words]
             mults += diag_mults
             row[j] = (words, mults)
@@ -329,7 +373,7 @@ def harmonic_product(u: HarmElem, v: HarmElem) -> HarmElem:
     product times the word multiplicities, and the result is reduced once
     over the product of the two denominators.
     """
-    acc: dict[Word, int] = {}
+    acc: dict[str, int] = {}
     for w1, c1 in u._num.items():
         for w2, c2 in v._num.items():
             c12 = c1 * c2
@@ -352,18 +396,23 @@ def s_map(word: Word) -> HarmElem:
     preserved, and admissible input yields only admissible image words.
     The image words are distinct (their first parts differ between blocks),
     so each is stored with numerator 1 and nothing is added.  The images of
-    the suffixes are built in one loop from the shortest up and dropped on
-    return, so an expansion costs time linear in its output size.
+    the suffixes are built in one loop from the shortest up, each word's key
+    as chr(running block sum) prepended to a suffix's key, and dropped on
+    return, so an expansion costs time linear in its output size.  A block
+    sum past the limit, that is a weight past it, raises ValueError.
     """
     word = tuple(word)
+    total = sum(word)  # the largest block sum, the image of one block
+    if total > _MAX_PART:
+        raise _out_of_range("block sum", total)
     n = len(word)
-    images: list[list[Word]] = [[] for _ in range(n)] + [[()]]
+    images: list[list[str]] = [[] for _ in range(n)] + [[""]]
     for i in range(n - 1, -1, -1):
         out = images[i]
         running = 0
         for j in range(i, n):
             running += word[j]
-            head = (running,)
+            head = chr(running)
             out.extend([head + tail for tail in images[j + 1]])
     return _elem(dict.fromkeys(images[0], 1), 1)
 
@@ -408,16 +457,20 @@ def s_map_via_s1(word: Word) -> HarmElem:
     """Compute the merge expansion through the two-letter alphabet.
 
     Writes the word as F y, expands the substitution automorphism on F,
-    appends the final y and converts back.  Independent route used to
-    cross-check :func:`s_map`.
+    appends the final y and converts back: each run x^a of F ended by a y
+    becomes the letter chr(a + 1).  Independent route used to cross-check
+    :func:`s_map`; a weight past the limit raises ValueError before any
+    string is built.
     """
     word = tuple(word)
     if not word:
         raise ValueError("empty word has no trailing y")
-    xy = word_to_xy(word)
-    acc: dict[Word, int] = {}
-    for image in s1_substitute(xy[:-1]):
-        key = xy_to_word(image + "y")
+    total = weight(word)  # the largest letter, from the image with no y in F
+    if total > _MAX_PART:
+        raise _out_of_range("weight", total)
+    acc: dict[str, int] = {}
+    for image in s1_substitute(word_to_xy(word)[:-1]):
+        key = "".join([chr(len(run) + 1) for run in image.split("y")])
         acc[key] = acc.get(key, 0) + 1
     return _elem(acc, 1)
 

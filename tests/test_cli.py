@@ -194,6 +194,26 @@ class TestErrors:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["eval", "expand"])
+    @pytest.mark.parametrize(
+        "index,position",
+        [("99999999999999999999", 1), ("2,1114112", 2), ("2000000,1", 1)],
+    )
+    def test_part_past_the_word_limit(self, capsys, command, index, position):
+        # refused while the index is read, before any word or letter is built
+        code, out, err = run(capsys, command, "--index", index)
+        assert (code, out) == (1, "")
+        assert err == f"error: parts must be <= 1114111 (part {position})\n"
+
+    def test_block_sum_past_the_word_limit(self, capsys):
+        code, out, _ = run(capsys, "expand", "--index", "1114110,1")
+        assert (code, out) == (0, "z1114111 + z1114110 z1\n")
+        code, out, err = run(capsys, "expand", "--index", "1114111,1")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: block sum 1114112 is out of range: word parts are at most 1114111\n"
+        )
+
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "bernoulli", "--n", "2", "--bogus")
         assert code == 1

@@ -27,6 +27,9 @@ from zetastar.words import (
 )
 
 F = Fraction
+# the word algebra's internal form: a word's key holds one code point per part
+key_of = words_module._encode
+word_of = words_module._decode
 
 
 def stuffle_by_lattice_paths(u, v):
@@ -51,6 +54,12 @@ def stuffle_by_lattice_paths(u, v):
 
 def as_dict(elem):
     return {w: c for w, c in elem.items()}
+
+
+def oracle_on_keys(u, v):
+    """The lattice-path oracle for two keys, as {key: multiplicity}."""
+    oracle = stuffle_by_lattice_paths(word_of(u), word_of(v))
+    return {key_of(w): c for w, c in oracle.items()}
 
 
 def stuffle_of_combinations(u, v):
@@ -96,6 +105,13 @@ class TestParseIndex:
         with pytest.raises(ParseError) as err:
             parse_index(bad)
         assert err.value.position == pos
+
+    def test_word_limit(self):
+        assert parse_index("1114111") == (1114111,)
+        for bad, pos in [("1114112", 1), ("2,99999999999999999999", 2)]:
+            with pytest.raises(ParseError, match="parts must be <= 1114111") as err:
+                parse_index(bad)
+            assert err.value.position == pos
 
     def test_format_round_trip(self):
         assert parse_index(format_index((5, 1, 2))) == (5, 1, 2)
@@ -155,9 +171,9 @@ class TestHarmonicProduct:
             ((1, 2, 1, 2, 1), (2, 1, 2, 1, 2)),
         ]
         for u, v in pairs:
-            terms = words_module._stuffle_words(u, v)
+            terms = words_module._stuffle_words(key_of(u), key_of(v))
             assert len({w for w, _ in terms}) == len(terms), (u, v)
-            assert dict(terms) == stuffle_by_lattice_paths(u, v), (u, v)
+            assert dict(terms) == oracle_on_keys(key_of(u), key_of(v)), (u, v)
 
     def test_bilinearity(self):
         u = HarmElem.from_word((2,), 3) + HarmElem.from_word((1, 1), F(-1, 2))
@@ -295,8 +311,8 @@ def _words_over(parts, max_depth):
 
 # more distinct keys than the old bounded memos held: 72 words give 5184
 # ordered pairs against 4096 stuffle entries, and 81 words against 16
-# expansions
-STUFFLE_KEYS = list(product(_words_over(range(1, 9), 2), repeat=2))
+# expansions; the stuffle kernel takes the words' keys
+STUFFLE_KEYS = list(product(map(key_of, _words_over(range(1, 9), 2)), repeat=2))
 S_MAP_KEYS = list(product((1, 2, 3), repeat=4))
 
 
@@ -333,7 +349,7 @@ class TestBoundedCaches:
         # nothing was kept: computing a key again misses
         misses = stuffle.cache_info().misses
         for u, v in STUFFLE_KEYS[:50]:
-            assert dict(stuffle(u, v)) == stuffle_by_lattice_paths(u, v)
+            assert dict(stuffle(u, v)) == oracle_on_keys(u, v)
         assert stuffle.cache_info().misses == misses + 50
         misses = s_map.cache_info().misses
         for w in S_MAP_KEYS[:20]:
@@ -515,6 +531,78 @@ class TestInsertions:
             insertions(0)
 
 
+TOP = 1114111  # the largest code point, so the largest part a word holds
+
+
+def _merges(word):
+    """Every merge of adjacent runs of the word, by brute force."""
+    if not word:
+        return [()]
+    return [
+        (sum(word[:j]),) + rest
+        for j in range(1, len(word) + 1)
+        for rest in _merges(word[j:])
+    ]
+
+
+class TestWordKeys:
+    """A word is held as a string with one code point per part.  CPython
+    stores a string in one, two or four bytes per character by its largest
+    code point; words mixing the three kinds must still come out in the
+    order of their tuples."""
+
+    # the edges of each kind, and the first surrogate
+    PARTS = (1, 255, 256, 0xD800, 65535, 65536, TOP)
+
+    def test_order_across_string_kinds(self):
+        words = [w for d in range(4) for w in product(self.PARTS, repeat=d)]
+        expected = sorted(words, reverse=True)
+        shuffled = words[1::2] + words[::2]  # far from either sorted order
+        elem = HarmElem(dict.fromkeys(shuffled, 1))
+        assert [w for w, _ in elem.items()] == expected
+        assert elem.words() == expected
+        assert list(elem) == expected
+        assert [tuple(e["word"]) for e in elem.to_json_obj()] == expected
+        bodies = [" ".join(f"z{k}" for k in w) if w else "1" for w in expected]
+        assert str(elem) == " + ".join(bodies)
+        assert all(elem.coeff(w) == 1 for w in words)
+        assert HarmElem.from_json_obj(elem.to_json_obj()) == elem
+
+    def test_products_and_expansions_across_kinds(self):
+        pairs = [((1, 65536), (255,)), ((256, 1), (65535, 2)), ((TOP - 1,), (1,))]
+        for u, v in pairs:
+            got = as_dict(HarmElem.from_word(u) * HarmElem.from_word(v))
+            assert got == stuffle_by_lattice_paths(u, v), (u, v)
+        for word in [(255, 1, 65280), (1, 65535, 1), (TOP - 2, 1, 1)]:
+            assert sorted(s_map(word).words()) == sorted(_merges(word)), word
+        # the cross-check route spells out a word's weight in letters
+        for word in [(255, 1, 256), (1, 300, 1)]:
+            assert s_map(word) == s_map_via_s1(word), word
+
+    def test_parts_past_the_limit_raise(self):
+        assert HarmElem.from_word((TOP,)).words() == [(TOP,)]
+        makers = [
+            lambda: HarmElem.from_word((2, TOP + 1)),
+            lambda: HarmElem.from_word((TOP + 1,), 0),
+            lambda: HarmElem.from_word((10**20,)),
+            lambda: HarmElem({(TOP + 1,): 1}),
+            lambda: HarmElem({(2,): F(1, 2), (TOP + 1, 1): F(1, 3)}),
+        ]
+        for make in makers:
+            with pytest.raises(ValueError, match=f"word parts are at most {TOP}"):
+                make()
+
+    def test_merged_parts_past_the_limit_raise(self):
+        u = HarmElem.from_word((1, TOP))
+        with pytest.raises(ValueError, match=f"merged part {TOP + 2} is out of range"):
+            u * HarmElem.from_word((2,))
+        with pytest.raises(ValueError, match=f"block sum {TOP + 1} is out of range"):
+            s_map((1, TOP))
+        # refused before the 1114112-letter xy string is built
+        with pytest.raises(ValueError, match=f"weight {TOP + 1} is out of range"):
+            s_map_via_s1((1, TOP))
+
+
 # coefficients over the denominators 6, 4, 9 and 1
 MIXED = HarmElem({(2,): F(1, 6), (3, 1): F(-3, 4), (1, 1): F(2, 9), (4,): 5})
 
@@ -566,8 +654,9 @@ class TestHarmElem:
         for coeff in (1, -7, 3**80, F(6, 2), True):
             fast = HarmElem.from_word([2, 1], coeff)
             assert fast == HarmElem({(2, 1): F(coeff)})
-            assert fast._den == 1 and type(fast._num[2, 1]) is int
-            assert list(fast._num) == [(2, 1)]
+            # the key of the word (2, 1) is the string of code points 2 and 1
+            assert fast._den == 1 and type(fast._num["\x02\x01"]) is int
+            assert list(fast._num) == ["\x02\x01"]
         for zero in (0, F(0), False):
             assert HarmElem.from_word((2,), zero) == HarmElem.zero()
 
