@@ -22,7 +22,7 @@ import argparse
 import sys
 
 # Each runner imports the layers it uses, so a command loads only those.
-from ._base import NotRationalError, ToleranceUnreachable
+from ._base import NotRationalError, ToleranceUnreachable, format_index, parse_index
 
 __all__ = ["main"]
 
@@ -37,7 +37,11 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: str | None = None) -> _Parser:
+    """The argument parser.  Given a `command`, it holds that subcommand
+    alone: that command's parse, error messages and help are the full
+    parser's, and the other subcommands' parsers, most of the cost of
+    building it, are skipped."""
     parser = _Parser(prog="zetastar", description=__doc__.split("\n\n")[0])
     common = argparse.ArgumentParser(add_help=False)
     # SUPPRESS so a value given before the subcommand is not overwritten by
@@ -50,64 +54,70 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("expand", parents=[common], help="zeta-star expansion")
-    p.add_argument("--index", required=True, help='index, e.g. "3,1,3,1"')
-    p.add_argument(
-        "--star",
-        action="store_true",
-        help="read the index as a zeta-star value (the default and only "
-        "interpretation; accepted for symmetry with eval)",
-    )
+    if command in (None, "expand"):
+        p = sub.add_parser("expand", parents=[common], help="zeta-star expansion")
+        p.add_argument("--index", required=True, help='index, e.g. "3,1,3,1"')
+        p.add_argument(
+            "--star",
+            action="store_true",
+            help="read the index as a zeta-star value (the default and only "
+            "interpretation; accepted for symmetry with eval)",
+        )
 
-    p = sub.add_parser("eval", parents=[common], help="numeric evaluation")
-    p.add_argument("--index", required=True)
-    p.add_argument("--star", action="store_true", help="evaluate the star sum")
-    p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    if command in (None, "eval"):
+        p = sub.add_parser("eval", parents=[common], help="numeric evaluation")
+        p.add_argument("--index", required=True)
+        p.add_argument("--star", action="store_true", help="evaluate the star sum")
+        p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
 
-    p = sub.add_parser("coeff", parents=[common], help="exact closed forms")
-    which = p.add_subparsers(dest="family", required=True)
-    fam = which.add_parser("thmA", parents=[common])
-    fam.add_argument("--m", type=int, required=True)
-    fam.add_argument("--n", type=int, required=True)
-    fam = which.add_parser("thmB", parents=[common])
-    fam.add_argument("--n", type=int, required=True)
-    fam = which.add_parser("thmC", parents=[common])
-    fam.add_argument("--n", type=int, required=True)
-    fam = which.add_parser("thm1", parents=[common])
-    fam.add_argument("--m", type=int, required=True)
-    fam.add_argument("--n", type=int, required=True)
+    if command in (None, "coeff"):
+        p = sub.add_parser("coeff", parents=[common], help="exact closed forms")
+        which = p.add_subparsers(dest="family", required=True)
+        fam = which.add_parser("thmA", parents=[common])
+        fam.add_argument("--m", type=int, required=True)
+        fam.add_argument("--n", type=int, required=True)
+        fam = which.add_parser("thmB", parents=[common])
+        fam.add_argument("--n", type=int, required=True)
+        fam = which.add_parser("thmC", parents=[common])
+        fam.add_argument("--n", type=int, required=True)
+        fam = which.add_parser("thm1", parents=[common])
+        fam.add_argument("--m", type=int, required=True)
+        fam.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("verify", parents=[common], help="identity suites")
-    which = p.add_subparsers(dest="check", required=True)
-    chk = which.add_parser("thm6", parents=[common])
-    chk.add_argument("--a", type=int, required=True)
-    chk.add_argument("--b", type=int, required=True)
-    chk.add_argument("--n", type=int, required=True)
-    chk = which.add_parser("thm7", parents=[common])
-    chk.add_argument("--a", type=int, required=True)
-    chk.add_argument("--b", type=int, required=True)
-    chk.add_argument("--c", type=int, required=True)
-    chk.add_argument("--n", type=int, required=True)
-    chk = which.add_parser("stuffle", parents=[common])
-    chk.add_argument("--seed", type=int, default=1)
-    chk.add_argument("--trials", type=int, default=100)
-    chk.add_argument("--max-weight", type=int, default=8)
-    chk = which.add_parser("genfunc", parents=[common])
-    chk.add_argument("--m", type=int, required=True)
-    chk.add_argument("--max-n", type=int, required=True)
-    chk = which.add_parser("sconsist", parents=[common])
-    chk.add_argument("--max-depth", type=int, default=6)
-    chk.add_argument("--max-part", type=int, default=3)
-    chk = which.add_parser("zhom", parents=[common])
-    chk.add_argument("--seed", type=int, default=1)
-    chk.add_argument("--trials", type=int, default=50)
-    chk.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    if command in (None, "verify"):
+        p = sub.add_parser("verify", parents=[common], help="identity suites")
+        which = p.add_subparsers(dest="check", required=True)
+        chk = which.add_parser("thm6", parents=[common])
+        chk.add_argument("--a", type=int, required=True)
+        chk.add_argument("--b", type=int, required=True)
+        chk.add_argument("--n", type=int, required=True)
+        chk = which.add_parser("thm7", parents=[common])
+        chk.add_argument("--a", type=int, required=True)
+        chk.add_argument("--b", type=int, required=True)
+        chk.add_argument("--c", type=int, required=True)
+        chk.add_argument("--n", type=int, required=True)
+        chk = which.add_parser("stuffle", parents=[common])
+        chk.add_argument("--seed", type=int, default=1)
+        chk.add_argument("--trials", type=int, default=100)
+        chk.add_argument("--max-weight", type=int, default=8)
+        chk = which.add_parser("genfunc", parents=[common])
+        chk.add_argument("--m", type=int, required=True)
+        chk.add_argument("--max-n", type=int, required=True)
+        chk = which.add_parser("sconsist", parents=[common])
+        chk.add_argument("--max-depth", type=int, default=6)
+        chk.add_argument("--max-part", type=int, default=3)
+        chk = which.add_parser("zhom", parents=[common])
+        chk.add_argument("--seed", type=int, default=1)
+        chk.add_argument("--trials", type=int, default=50)
+        chk.add_argument("--tol", type=float, default=argparse.SUPPRESS)
 
-    p = sub.add_parser("bernoulli", parents=[common], help="Bernoulli number")
-    p.add_argument("--n", type=int, required=True)
+    if command in (None, "bernoulli"):
+        p = sub.add_parser("bernoulli", parents=[common], help="Bernoulli number")
+        p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("insertions", parents=[common], help="2-insertion set")
-    p.add_argument("--n", type=int, required=True)
+    if command in (None, "insertions"):
+        p = sub.add_parser("insertions", parents=[common], help="2-insertion set")
+        p.add_argument("--n", type=int, required=True)
 
     return parser
 
@@ -200,7 +210,7 @@ def _run_bernoulli(args) -> int:
 
 
 def _run_insertions(args) -> int:
-    from .words import format_index, insertions
+    from .words import insertions
 
     words = insertions(args.n)
     _emit(
@@ -222,7 +232,9 @@ _RUNNERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv and argv[0] in _RUNNERS else None)
     # Python refuses str(int) past 4300 digits by default (3.10.7 and later),
     # and B_2100 has more.  The inputs are read under that limit, which keeps
     # each number given short; the results are computed and printed without it.
@@ -232,8 +244,6 @@ def main(argv: list[str] | None = None) -> int:
         if not hasattr(args, "format"):
             args.format = "text"
         if hasattr(args, "index"):
-            from .words import parse_index
-
             args.index = parse_index(args.index)
         if digit_limit:
             sys.set_int_max_str_digits(0)

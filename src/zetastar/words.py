@@ -38,7 +38,16 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
-from .exact import parse_rational
+# the index syntax lives in _base, so cli and numeric need not load this module
+from ._base import (
+    _MAX_PART,
+    ParseError,
+    Word,
+    format_index,
+    is_admissible,
+    parse_index,
+    word_to_xy,
+)
 
 __all__ = [
     "HarmElem",
@@ -57,11 +66,6 @@ __all__ = [
     "word_to_xy",
     "xy_to_word",
 ]
-
-Word = tuple[int, ...]
-
-# The largest code point, so the largest part a word's key can hold.
-_MAX_PART = 0x10FFFF
 
 
 def _out_of_range(what: str, part: int) -> ValueError:
@@ -91,51 +95,6 @@ def weight(word: Word) -> int:
 def depth(word: Word) -> int:
     """Number of parts; 0 for the empty word."""
     return len(word)
-
-
-def is_admissible(word: Word) -> bool:
-    """True when the leading part is >= 2 (the nested series converges).
-
-    The empty word is the unit and counts as admissible.
-    """
-    return not word or word[0] >= 2
-
-
-class ParseError(ValueError):
-    """Malformed index text; carries the position of the offending part."""
-
-    def __init__(self, message: str, position: int) -> None:
-        super().__init__(f"{message} (part {position})")
-        self.position = position
-
-
-def parse_index(s: str) -> Word:
-    """Parse comma-separated positive integers, whitespace tolerated.
-
-    Rejects empty input, empty parts (so also trailing commas), zeros,
-    negative numbers, digits outside ASCII 0-9 and parts above 1114111, the
-    largest a word holds.
-    """
-    if not s.strip():
-        raise ParseError("empty index", 1)
-    parts = []
-    for pos, chunk in enumerate(s.split(","), start=1):
-        chunk = chunk.strip()
-        if not chunk:
-            raise ParseError("empty part", pos)
-        if not (chunk.isascii() and chunk.isdigit()):
-            raise ParseError(f"not a positive integer: {chunk!r}", pos)
-        value = int(chunk)
-        if value < 1:
-            raise ParseError("parts must be >= 1", pos)
-        if value > _MAX_PART:
-            raise ParseError(f"parts must be <= {_MAX_PART}", pos)
-        parts.append(value)
-    return tuple(parts)
-
-
-def format_index(word: Word) -> str:
-    return ",".join(str(k) for k in word)
 
 
 class HarmElem:
@@ -285,6 +244,8 @@ class HarmElem:
 
     @classmethod
     def from_json_obj(cls, obj: list[dict]) -> "HarmElem":
+        from .exact import parse_rational
+
         acc: dict[Word, Fraction] = {}
         for entry in obj:
             word = tuple(int(k) for k in entry["word"])
@@ -415,11 +376,6 @@ def s_map(word: Word) -> HarmElem:
             head = chr(running)
             out.extend([head + tail for tail in images[j + 1]])
     return _elem(dict.fromkeys(images[0], 1), 1)
-
-
-def word_to_xy(word: Word) -> str:
-    """z_k becomes x^(k-1) y; the whole word becomes the concatenation."""
-    return "".join("x" * (k - 1) + "y" for k in word)
 
 
 def xy_to_word(s: str) -> Word:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import zetastar
-from zetastar.cli import main
+from zetastar.cli import _build_parser, main
 from zetastar.exact import PiMultiple, bernoulli
 from zetastar.words import HarmElem
 
@@ -70,7 +70,7 @@ class TestEval:
         # below the float64 resolution of zeta(2)
         code, _, err = run(capsys, "eval", "--index", "2", "--tol", "1e-17")
         assert code == 2
-        assert err == "error: bound 3.042e-17 exceeds tolerance 1.000e-17\n"
+        assert err == "error: bound 3.647e-17 exceeds tolerance 1.000e-17\n"
 
     @pytest.mark.parametrize("flag,value", [("--tol", "1e-8")])
     def test_default_budget_is_the_library_default(self, capsys, flag, value):
@@ -223,6 +223,32 @@ class TestErrors:
         assert code == 1
 
 
+class TestOneCommandParser:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "-h"),
+            ("coeff", "thmA", "-h"),
+            ("verify", "zhom", "-h"),
+            ("expand",),
+            ("verify", "bogus"),
+            ("insertions", "--n", "x"),
+            ("bernoulli", "--n", "2", "extra"),
+        ],
+    )
+    def test_help_and_errors_match_the_full_parser(self, capsys, argv):
+        # main builds the named command's parser alone
+        outcomes = []
+        for command in (None, argv[0]):
+            try:
+                _build_parser(command).parse_args(list(argv))
+            except SystemExit as exc:  # help
+                outcomes.append((exc.code, capsys.readouterr()))
+            except ValueError as exc:
+                outcomes.append((str(exc), capsys.readouterr()))
+        assert len(outcomes) == 2 and outcomes[0] == outcomes[1]
+
+
 @pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"),
     reason="Python before 3.10.7 sets no limit on str(int)",
@@ -260,24 +286,30 @@ class TestDeterminism:
         assert first == second
 
 
-def _cli_in_fresh_process(*argv):
-    """Run `main(argv)` in a new interpreter; return its exit code and the
-    set of modules loaded by then."""
+def _fresh_process(script: str) -> str:
+    """Run `script` in a new interpreter that imports this checkout; return
+    its stdout."""
     src = str(Path(zetastar.__file__).resolve().parents[1])
-    code = (
-        "import sys, zetastar.cli\n"
-        f"code = zetastar.cli.main({list(argv)!r})\n"
-        "print(code, *sys.modules)\n"
-    )
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    code, *loaded = proc.stdout.splitlines()[-1].split()
+    return proc.stdout
+
+
+def _cli_in_fresh_process(*argv):
+    """Run `main(argv)` in a new interpreter; return its exit code and the
+    set of modules loaded by then."""
+    stdout = _fresh_process(
+        "import sys, zetastar.cli\n"
+        f"code = zetastar.cli.main({list(argv)!r})\n"
+        "print(code, *sys.modules)\n"
+    )
+    code, *loaded = stdout.splitlines()[-1].split()
     return int(code), set(loaded)
 
 
@@ -309,11 +341,39 @@ class TestImportFootprint:
         assert not loaded & unused
 
     def test_eval_loads_neither_verify_nor_closed_forms(self):
-        code, loaded = _cli_in_fresh_process("eval", "--index", "2,2", "--star")
+        # nor the word algebra, exact rationals, fractions or decimal
+        unused = {
+            "zetastar.verify", "zetastar.closed_forms", "zetastar.words",
+            "zetastar.exact", "fractions", "decimal", "dataclasses",
+        }
+        for extra in ((), ("--star",), ("--format", "json")):
+            code, loaded = _cli_in_fresh_process("eval", "--index", "2,2", *extra)
+            assert code == 0
+            assert "zetastar.numeric" in loaded
+            assert not loaded & unused, extra
+            assert ("json" in loaded) == ("json" in extra)
+
+    def test_expand_loads_only_words(self):
+        code, loaded = _cli_in_fresh_process("expand", "--index", "3,1,2")
         assert code == 0
-        assert "zetastar.numeric" in loaded
-        unused = {"zetastar.verify", "zetastar.closed_forms", "dataclasses", "json"}
+        assert "zetastar.words" in loaded
+        unused = {
+            "zetastar.exact", "zetastar.numeric", "zetastar.verify",
+            "zetastar.closed_forms",
+        }
         assert not loaded & unused
+
+    def test_numeric_word_routes_load_words_on_use(self):
+        # numeric reaches words only through a HarmElem; both routes that
+        # hand it one still run in a fresh process
+        code, loaded = _cli_in_fresh_process("verify", "zhom", "--seed", "1")
+        assert code == 0 and "zetastar.words" in loaded
+        stdout = _fresh_process(
+            "from zetastar.numeric import harm_elem_numeric\n"
+            "from zetastar.words import s_map\n"
+            "print(harm_elem_numeric(s_map((3, 1)), 1e-10).value)\n"
+        )
+        assert abs(float(stdout) - math.pi**4 / 72) <= 1e-10
 
     def test_json_output_loads_json(self):
         argv = ("bernoulli", "--n", "4", "--format", "json")

@@ -1,8 +1,11 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetastar import numeric
 from zetastar.closed_forms import (
@@ -287,3 +290,150 @@ class TestZetaInterval:
             zeta_interval((1, 2))
         with pytest.raises(ValueError):
             zeta_interval((2,), bits=0)
+
+
+def _certify_reference(lo: int, hi: int, scale: int, tol: float) -> NumericValue:
+    """_certify in Fractions: the midpoint rounded, and the half-width plus
+    the larger distance from the midpoint to that float or to its printed
+    17 digits, rounded up."""
+    mid = Fraction(lo + hi, 2 * scale)
+    value = float(mid)
+    printed = Fraction(format(value, ".17g"))
+    off = max(abs(Fraction(value) - mid), abs(printed - mid))
+    err = Fraction(hi - lo, 2 * scale) + off
+    bound = float(err)
+    if bound < err:
+        bound = math.nextafter(bound, math.inf)
+    if bound > tol:
+        raise ToleranceUnreachable(f"bound {bound:.3e} exceeds tolerance {tol:.3e}")
+    return NumericValue(value, bound)
+
+
+@st.composite
+def _brackets(draw) -> tuple[int, int, int]:
+    """(lo, hi, scale): scales up to 2^8300, widths from 0, and midpoints
+    lying exactly half an ulp above a float."""
+    shift = draw(st.integers(0, 8300))
+    k = draw(st.integers(1, 2**64))
+    half_width = draw(st.one_of(st.just(0), st.integers(0, 2**80)))
+    half_width <<= draw(st.integers(0, shift))
+    if draw(st.booleans()):
+        v = draw(st.floats(min_value=-(2.0**60), max_value=2.0**60))
+        mid = Fraction(v) + Fraction(math.ulp(v)) / 2
+        centre, scale = mid.numerator * k << shift, mid.denominator * k << shift
+    else:
+        centre, scale = draw(st.integers(-(2**80), 2**80)) << shift, k << shift
+    return centre - half_width, centre + half_width, scale
+
+
+class TestCertify:
+    """The integer _certify agrees with a Fraction reference: the same value,
+    the same bound, and the same decision to raise."""
+
+    def test_bound_covers_the_printed_digits(self):
+        # zeta(3) = 1.20205690315959428539973816...; its float prints as
+        # 1.2020569031595942, 8.54e-17 below, farther than the float itself
+        lo, hi = numeric._zeta_bracket("xxy", 100)
+        nv = numeric._certify(lo, hi, 1 << 200, 1e-12)
+        printed = Fraction(format(nv.value, ".17g"))
+        assert printed == Fraction("1.2020569031595942")
+        for end in (lo, hi):
+            assert abs(printed - Fraction(end, 1 << 200)) <= nv.error_bound
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _brackets(), st.sampled_from(["bound", "below", "any"]), st.floats(1e-300, 1.0)
+    )
+    def test_matches_fraction_reference(self, bracket, which, any_tol):
+        # a tolerance at the bound, one step below it, or anywhere
+        bound = _certify_reference(*bracket, math.inf).error_bound
+        below = math.nextafter(bound, 0.0)
+        tol = {"bound": bound, "below": below, "any": any_tol}[which]
+        try:
+            want = _certify_reference(*bracket, tol)
+        except ToleranceUnreachable as exc:
+            with pytest.raises(ToleranceUnreachable, match=re.escape(str(exc))):
+                numeric._certify(*bracket, tol)
+        else:
+            got = numeric._certify(*bracket, tol)
+            assert (got.value.hex(), got.error_bound.hex()) == (
+                want.value.hex(),
+                want.error_bound.hex(),
+            )
+
+
+def _exact_step(letter: str, gs: list[Fraction]) -> list[Fraction]:
+    """numeric._step's recurrence in Fractions, with no rounding."""
+    out, acc = [], Fraction(0)
+    for n, g in enumerate(gs, 1):
+        if letter == "x":
+            out.append(g / n)
+        elif letter == "y":
+            out.append(acc / n)
+            acc = (acc + g) / 2
+        else:
+            acc = acc / 2 + g
+            out.append(acc / n)
+    return out
+
+
+def _letter_words(max_len: int) -> list[str]:
+    words = [""]
+    for word in words:
+        if len(word) < max_len:
+            words += [word + letter for letter in "xyz"]
+    return words
+
+
+class TestTaperedSweep:
+    """Each floor term of a sweep falls short of its exact value by at least
+    0 and at most the counted units; each suffix bracket holds the exact sum
+    of N terms with a unit to spare for the tail."""
+
+    N = 40
+
+    @pytest.mark.parametrize("prec", [3, 5, 8, 13, 19, 30])
+    def test_terms_within_counted_units(self, prec):
+        # every letter over every word of up to four letters, z at n = 1
+        # and n = 2 included
+        start = (
+            [(1 << prec >> n) // n for n in range(1, self.N + 1)],
+            [Fraction(1 << prec, n << n) for n in range(1, self.N + 1)],
+            1,
+        )
+        states = {"": start}
+        for word in _letter_words(4)[1:]:
+            floor, exact, count = states[word[:-1]]
+            letter = word[-1]
+            floor, exact = numeric._step(letter, floor), _exact_step(letter, exact)
+            count += numeric._UNITS[letter]
+            for n, (f, e) in enumerate(zip(floor, exact), 1):
+                assert 0 <= e - f <= count, (word, n)
+            states[word] = floor, exact, count
+
+    @pytest.mark.parametrize("prec", [3, 8, 19])
+    def test_suffix_brackets_hold_the_exact_sum(self, prec):
+        for word in _letter_words(4)[1:]:
+            word += "y"
+            cut = numeric._cutoff(len(word) - word.count("x") - 1, prec)
+            exact = [Fraction(1 << prec, n << n) for n in range(1, cut + 1)]
+            sums = [Fraction(1 << prec), sum(exact)]
+            for letter in word[-2::-1]:
+                exact = _exact_step(letter, exact)
+                sums.append(sum(exact))
+            brackets = numeric._sweep(word, prec)
+            assert brackets[0] == (1 << prec, 1 << prec)
+            for (lo, hi), total in zip(brackets[1:], sums[1:]):
+                assert lo <= total <= hi - 1, word
+
+    def test_brackets_hold_finer_brackets(self):
+        rng = random.Random(33)
+        for bits in (19, 128):
+            for _ in range(20):
+                index = (rng.randint(2, 4),) + tuple(
+                    rng.randint(1, 4) for _ in range(rng.randint(0, 3))
+                )
+                word = numeric._letters(index, rng.random() < 0.5)
+                lo, hi = numeric._zeta_bracket(word, bits)
+                fine_lo, fine_hi = numeric._zeta_bracket(word, bits + 200)
+                assert lo << 400 <= fine_lo <= fine_hi <= hi << 400
