@@ -145,13 +145,35 @@ def _run_expand(args) -> int:
     return EXIT_OK
 
 
+def _round_up_3e(x: float) -> str:
+    """`x` as format(x, ".3e") writes it, but rounded up to its 4
+    significant digits instead of to nearest, so the text never falls
+    below `x`; the comparison is exact, on the float's integer ratio."""
+    text = f"{x:.3e}"
+    if not 0 < x < float("inf"):
+        return text
+    mantissa, exponent = text.split("e")
+    digits, shift = int(mantissa.replace(".", "")), int(exponent) - 3
+    num, den = x.as_integer_ratio()
+    if shift >= 0:
+        below = digits * 10**shift * den < num
+    else:
+        below = digits * den < num * 10**-shift
+    if not below:
+        return text
+    digits += 1
+    if digits == 10000:
+        digits, shift = 1000, shift + 1
+    return f"{digits // 1000}.{digits % 1000:03d}e{shift + 3:+03d}"
+
+
 def _run_eval(args) -> int:
     from .numeric import mzsv_numeric, mzv_numeric
 
     evaluate = mzsv_numeric if args.star else mzv_numeric
     nv = evaluate(args.index, **_budget(args))
     _emit(
-        f"{nv.value:.17g} (error <= {nv.error_bound:.3e})",
+        f"{nv.value:.17g} (error <= {_round_up_3e(nv.error_bound)})",
         nv.to_json_obj(),
         args.format,
     )

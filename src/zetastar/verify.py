@@ -9,6 +9,8 @@ that the exact brackets of both sides meet).  Identity checks always compare
 canonical :class:`~zetastar.words.HarmElem` values, never term streams, so
 ordering artifacts cannot produce false results.
 
+Each check imports the layers it runs, so one check loads only those.
+
 Random words come from :class:`WordSampler`, a 64-bit linear congruential
 generator (state <- 6364136223846793005 * state + 1442695040888963407
 mod 2^64, draws from the top 32 bits) so that sequences are reproducible
@@ -18,15 +20,9 @@ constrained samples (weight caps, admissibility) are drawn by rejection.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections.abc import Callable
 
-from ._base import Record
-from .closed_forms import thmA_coefficient
-from .cyclotomic import CycloElem, cyclo_rational_value, cyclo_reduce
-from .exact import csc_coefficient
-from .numeric import _check_tol, _elem_bracket
-from .series import PowerSeries
-from .words import HarmElem, Word, s_map, s_map_via_s1
+from ._base import Record, Word
 
 __all__ = [
     "Report",
@@ -65,10 +61,13 @@ class Report(Record):
     def ok(self) -> bool:
         return not self.failures
 
-    def record(self, passed: bool, **detail) -> None:
+    def record(self, passed: bool, detail: Callable[[], dict]) -> None:
+        """Count a case; on a failure, add the record `detail()` builds.
+        The detail is built only then, since rendering both sides of an
+        identity can cost more than checking it."""
         self.cases += 1
         if not passed:
-            self.failures.append(detail)
+            self.failures.append(detail())
 
     def to_json_obj(self) -> dict:
         return {
@@ -119,6 +118,8 @@ class WordSampler:
 def verify_stuffle_laws(seed: int, trials: int, max_weight: int) -> Report:
     """Commutativity and associativity of the harmonic product on random
     word triples (depth <= 3, parts <= 4, weight <= max_weight)."""
+    from .words import HarmElem
+
     if max_weight < 1:
         raise ValueError("max_weight must be at least 1")
     if trials < 0:
@@ -136,10 +137,12 @@ def verify_stuffle_laws(seed: int, trials: int, max_weight: int) -> Report:
         assoc = uv * w == u * (v * w)
         report.record(
             comm and assoc,
-            trial=trial,
-            words=[str(u), str(v), str(w)],
-            commutative=comm,
-            associative=assoc,
+            lambda: {
+                "trial": trial,
+                "words": [str(u), str(v), str(w)],
+                "commutative": comm,
+                "associative": assoc,
+            },
         )
     return report
 
@@ -158,6 +161,8 @@ def verify_thm6(a: int, b: int, n: int) -> Report:
 
       S(h u^n) = sum_i (h u^i) * S((a+b)^(n-i)).
     """
+    from .words import HarmElem, s_map
+
     _check_letters(n, a, b)
     report = Report("thm6", {"a": a, "b": b, "n": n})
     for identity, head in (("alternating", ()), ("tailed", (b,))):
@@ -166,7 +171,10 @@ def verify_thm6(a: int, b: int, n: int) -> Report:
         for i in range(n + 1):
             merged = s_map((a + b,) * (n - i))
             rhs = rhs + HarmElem.from_word(head + (a, b) * i) * merged
-        report.record(lhs == rhs, identity=identity, lhs=str(lhs), rhs=str(rhs))
+        report.record(
+            lhs == rhs,
+            lambda: {"identity": identity, "lhs": str(lhs), "rhs": str(rhs)},
+        )
     return report
 
 
@@ -184,6 +192,8 @@ def verify_thm7(a: int, b: int, c: int, n: int) -> Report:
 
     Summations with an empty range are zero.
     """
+    from .words import HarmElem, s_map
+
     _check_letters(n, a, b, c)
     report = Report("thm7", {"a": a, "b": b, "c": c, "n": n})
 
@@ -212,7 +222,10 @@ def verify_thm7(a: int, b: int, c: int, n: int) -> Report:
                 HarmElem.from_word(((a + b) * k + c,)) * s_map(head + (a, b) * (n - k))
             )
             rhs = rhs - s_map((a + b,) * (n - k)) * block
-        report.record(lhs == rhs, identity=identity, lhs=str(lhs), rhs=str(rhs))
+        report.record(
+            lhs == rhs,
+            lambda: {"identity": identity, "lhs": str(lhs), "rhs": str(rhs)},
+        )
     return report
 
 
@@ -226,6 +239,11 @@ def verify_genfunc_thmA(m: int, max_n: int) -> Report:
     cyclotomic reduction, and the coefficient of x^(2mn) must reduce to the
     rational produced by the direct composition sum.
     """
+    from .closed_forms import thmA_coefficient
+    from .cyclotomic import CycloElem, cyclo_rational_value, cyclo_reduce
+    from .exact import csc_coefficient
+    from .series import PowerSeries
+
     if m < 1 or max_n < 1:
         raise ValueError("m and max_n must be positive")
     report = Report("genfunc", {"m": m, "max_n": max_n})
@@ -245,16 +263,19 @@ def verify_genfunc_thmA(m: int, max_n: int) -> Report:
             reduced = cyclo_reduce(coeff)
             report.record(
                 not reduced,
-                degree=d,
-                expected="0",
-                got=str([str(f) for f in reduced]),
+                lambda: {
+                    "degree": d,
+                    "expected": "0",
+                    "got": str([str(f) for f in reduced]),
+                },
             )
         else:
             n = d // (2 * m)
             got = cyclo_rational_value(coeff)
             expected = thmA_coefficient(m, n)
             report.record(
-                got == expected, degree=d, expected=str(expected), got=str(got)
+                got == expected,
+                lambda: {"degree": d, "expected": str(expected), "got": str(got)},
             )
     return report
 
@@ -263,6 +284,8 @@ def verify_s_consistency(max_depth: int, max_part: int) -> Report:
     """Agreement of the suffix-recursion and two-letter-substitution routes
     to the merge expansion: exhaustive through depth 6, seeded samples
     (120 per depth) beyond."""
+    from .words import s_map, s_map_via_s1
+
     if max_depth < 1:
         raise ValueError("max_depth must be positive")
     if max_part < 1:
@@ -273,7 +296,8 @@ def verify_s_consistency(max_depth: int, max_part: int) -> Report:
         direct = s_map(word)
         via_xy = s_map_via_s1(word)
         report.record(
-            direct == via_xy, word=list(word), lhs=str(direct), rhs=str(via_xy)
+            direct == via_xy,
+            lambda: {"word": list(word), "lhs": str(direct), "rhs": str(via_xy)},
         )
 
     def exhaust(prefix: Word, remaining: int) -> None:
@@ -306,6 +330,11 @@ def verify_z_homomorphism(seed: int, trials: int, tol: float = 0.25) -> Report:
     (ToleranceUnreachable).  The coarse default keeps the evaluations short.
     Failure records give each side's bracket as two exact fractions.
     """
+    from fractions import Fraction
+
+    from .numeric import _check_tol, _elem_bracket
+    from .words import HarmElem
+
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     _check_tol(tol)
@@ -329,10 +358,12 @@ def verify_z_homomorphism(seed: int, trials: int, tol: float = 0.25) -> Report:
         lo12, hi12, scale12 = lo1 * lo2, hi1 * hi2, scale1 * scale2
         report.record(
             lo * scale12 <= hi12 * scale and lo12 * scale <= hi * scale12,
-            trial=trial,
-            w1=list(w1),
-            w2=list(w2),
-            lhs=[str(Fraction(lo, scale)), str(Fraction(hi, scale))],
-            rhs=[str(Fraction(lo12, scale12)), str(Fraction(hi12, scale12))],
+            lambda: {
+                "trial": trial,
+                "w1": list(w1),
+                "w2": list(w2),
+                "lhs": [str(Fraction(lo, scale)), str(Fraction(hi, scale))],
+                "rhs": [str(Fraction(lo12, scale12)), str(Fraction(hi12, scale12))],
+            },
         )
     return report

@@ -25,10 +25,12 @@ given, the merged parts of a product and the block sums of an expansion;
 past it a ValueError names the limit, and :func:`parse_index` refuses such
 parts up front.
 
-Everything is immutable and pure.  The stuffle of two words and the merge
-expansion of a word are each built bottom-up over a table of suffixes that
-lives for one call, and nothing is kept between calls, so memory holds
-only the results the caller keeps and concurrent use is safe.
+Everything is immutable and pure.  The stuffle products of a combination's
+words with one word, and the merge expansion of a word, are each built
+bottom-up over a table of suffixes that lives for one call; within a
+product, words that end alike share the rows of their common suffix.
+Nothing is kept between calls, so memory holds only the results the
+caller keeps and concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 # the index syntax lives in _base, so cli and numeric need not load this module
 from ._base import (
@@ -272,75 +274,127 @@ def _elem(num: dict[str, int], den: int) -> HarmElem:
 # cache_info() and cache_clear() stay for the benchmark tracer's counters;
 # the decorator goes once the benchmark reads a stats stream instead.
 @lru_cache(maxsize=0)
-def _stuffle_words(u: str, v: str) -> tuple[tuple[str, int], ...]:
-    """Harmonic product of two bare words, given and returned as keys, as
-    distinct (key, multiplicity) pairs in no particular order.
+def _stuffle_words(
+    keys: Sequence[str], v: str
+) -> Iterator[tuple[list[str], list[int]]]:
+    """Harmonic products of each word of `keys` with the word `v`, all given
+    as keys: yields, for each key in turn, its product as parallel lists of
+    distinct words and their multiplicities, in no particular order.
 
     Recursion: z_p w1 * z_q w2 = z_p (w1 * z_q w2) + z_q (z_p w1 * w2)
-    + z_{p+q} (w1 * w2), with the empty word as two-sided unit.  It runs
-    bottom-up over the suffix positions (i, j) of u and v, two rows of the
-    table at a time, so the sub-products live only for this call.  Each
-    cell is a pair of parallel lists, keys and multiplicities; a letter is
-    prepended by concatenation, and the merged letter is
-    chr(ord(p) + ord(q)).  Within each of the three groups the words are
-    distinct and z_{p+q} differs from z_p and z_q, so the groups are
-    concatenated as they are, except where p == q: only there can two words
-    coincide, and a dict adds their multiplicities.
+    + z_{p+q} (w1 * w2), with the empty word as two-sided unit.  For a key u
+    it runs bottom-up over the suffix positions (i, j) of u and v; row i,
+    the products of u[i:] with every suffix of v, depends only on u[i:] and
+    the row below it, so keys that end alike can share rows.  Of the rows a
+    key builds, those of the suffix it shares with the next key are kept,
+    and the next key starts from them; the rest live only until the row
+    above is built.  So at most one row per letter of the current key is
+    live.  Given the keys in order of their reversed strings, a depth-first
+    pass over their suffix trie, each distinct suffix's row is built once
+    per call; any order gives the same products.  Each cell is a pair of
+    parallel lists, words and multiplicities; a letter is prepended by
+    concatenation, and the merged letter is chr(ord(p) + ord(q)).  Within
+    each of the three groups the words are distinct and z_{p+q} differs
+    from z_p and z_q, so the groups are concatenated as they are, except
+    where p == q: only there can two words coincide, and a dict adds their
+    multiplicities.  A yielded cell may be a row cell that a later key
+    reads, so neither this function nor its callers change a cell once
+    built.
     """
-    if not u:
-        return ((v, 1),)
     if not v:
-        return ((u, 1),)
-    top = ord(max(u)) + ord(max(v))  # the largest merged part, in every product
-    if top > _MAX_PART:
-        raise _out_of_range("merged part", top)
+        for u in keys:
+            yield [u], [1]
+        return
+    letters = "".join(keys)
+    if letters:
+        top = ord(max(letters)) + ord(max(v))  # the largest merged part
+        if top > _MAX_PART:
+            raise _out_of_range("merged part", top)
     m = len(v)
-    below = [([v[j:]], [1]) for j in range(m + 1)]
-    for i in range(len(u) - 1, -1, -1):
-        p = u[i]
-        head = ord(p)
-        row = [None] * m + [([u[i:]], [1])]
-        for j in range(m - 1, -1, -1):
-            q = v[j]
-            down_words, down_mults = below[j]
-            right_words, right_mults = row[j + 1]
-            if p == q:
-                cell = dict(zip([p + w for w in down_words], down_mults))
-                for w, c in zip(right_words, right_mults):
-                    key = p + w
-                    cell[key] = cell.get(key, 0) + c
-                words, mults = list(cell), list(cell.values())
-            else:
-                words = [p + w for w in down_words]
-                words += [q + w for w in right_words]
-                mults = down_mults + right_mults
-            diag_words, diag_mults = below[j + 1]
-            merged = chr(head + ord(q))
-            words += [merged + w for w in diag_words]
-            mults += diag_mults
-            row[j] = (words, mults)
-        below = row
-    words, mults = below[0]
-    # through a list, so the tuple is allocated at its final size: tuple() of
-    # a zip guesses a size and shrinks it, which leaves one more tuple per
-    # call on the interpreter's free lists (up to 2000 per size)
-    return tuple([*zip(words, mults)])
+    # rows[d]: the row of the last d letters of the current key, for each d
+    # up to the suffix it shares with the previous key
+    rows = [[([v[j:]], [1]) for j in range(m + 1)]]
+    for n, u in enumerate(keys):
+        done = len(rows) - 1
+        below = rows[done]
+        # keep only the rows of the suffix the next key shares; after the
+        # last key, none
+        keep = _shared_suffix(u, keys[n + 1]) if n + 1 < len(keys) else -1
+        del rows[keep + 1 :]
+        for i in range(len(u) - done - 1, -1, -1):
+            p = u[i]
+            head = ord(p)
+            row = [None] * m + [([u[i:]], [1])]
+            for j in range(m - 1, -1, -1):
+                q = v[j]
+                down_words, down_mults = below[j]
+                right_words, right_mults = row[j + 1]
+                if p == q:
+                    cell = dict(zip([p + w for w in down_words], down_mults))
+                    for w, c in zip(right_words, right_mults):
+                        key = p + w
+                        cell[key] = cell.get(key, 0) + c
+                    words, mults = list(cell), list(cell.values())
+                else:
+                    words = [p + w for w in down_words]
+                    words += [q + w for w in right_words]
+                    mults = down_mults + right_mults
+                diag_words, diag_mults = below[j + 1]
+                merged = chr(head + ord(q))
+                words += [merged + w for w in diag_words]
+                mults += diag_mults
+                row[j] = (words, mults)
+            if len(u) - i <= keep:
+                rows.append(row)
+            below = row
+        yield below[0]
+
+
+def _shared_suffix(a: str, b: str) -> int:
+    """The length of the longest common suffix of two keys."""
+    n = 0
+    for x, y in zip(reversed(a), reversed(b)):
+        if x != y:
+            break
+        n += 1
+    return n
 
 
 def harmonic_product(u: HarmElem, v: HarmElem) -> HarmElem:
     """Bilinear extension of the stuffle recursion to linear combinations.
 
-    Runs on the integer numerators: each pair of terms adds its numerator
+    Runs on the integer numerators.  The keys of the operand with more
+    words go through one call of :func:`_stuffle_words` per word of the
+    other, in order of their reversed strings, so the suffixes those keys
+    share are tabled once per word.  Each pair of terms adds its numerator
     product times the word multiplicities, and the result is reduced once
-    over the product of the two denominators.
+    over the product of the two denominators.  Zero sums are dropped only
+    when the numerators have both signs; otherwise no term can cancel.
     """
+    if len(u._num) < len(v._num):
+        u, v = v, u
+    num = u._num
+    keys = sorted(num, key=lambda key: key[::-1])
+    nums = [num[k] for k in keys]
     acc: dict[str, int] = {}
-    for w1, c1 in u._num.items():
-        for w2, c2 in v._num.items():
+    for w2, c2 in v._num.items():
+        for c1, (words, mults) in zip(nums, _stuffle_words(keys, w2)):
             c12 = c1 * c2
-            for word, mult in _stuffle_words(w1, w2):
-                acc[word] = acc.get(word, 0) + c12 * mult
-    return _elem({word: c for word, c in acc.items() if c}, u._den * v._den)
+            if not acc:  # a cell's words are distinct, so the first starts it
+                acc = dict(zip(words, mults if c12 == 1 else [c12 * c for c in mults]))
+                continue
+            get = acc.get
+            for word, mult in zip(words, mults):
+                acc[word] = get(word, 0) + c12 * mult
+    if acc and (_mixed_signs(u._num) or _mixed_signs(v._num)):
+        acc = {word: c for word, c in acc.items() if c}
+    return _elem(acc, u._den * v._den)
+
+
+def _mixed_signs(num: dict[str, int]) -> bool:
+    """Whether a nonempty numerator map holds both signs."""
+    values = num.values()
+    return min(values) < 0 < max(values)
 
 
 # A pass-through that keeps nothing, like the one on _stuffle_words and for

@@ -3,7 +3,9 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -84,6 +86,33 @@ class TestEval:
         assert code == 0
         bound = out.split("(error <= ")[1].rstrip(")\n")
         assert float(bound) <= float(tol)
+
+    def test_text_bound_is_the_certified_one_rounded_up(self, capsys):
+        from zetastar.numeric import mzsv_numeric, mzv_numeric
+
+        indices = [
+            "2", "3", "4", "5", "2,1", "3,1", "2,2", "2,1,1", "3,1,3,1", "2,2,2"
+        ]
+        tols = ["1e-2", "1e-4", "1e-6", "1e-8", "1e-10", "1e-13", "1e-16"]
+        shown = 0
+        for index, tol, star in product(indices, tols, (False, True)):
+            argv = ["eval", "--index", index, "--tol", tol] + ["--star"] * star
+            code, out, _ = run(capsys, *argv)
+            if code == 2:  # the float cannot carry the tolerance
+                continue
+            assert code == 0, argv
+            evaluate = mzsv_numeric if star else mzv_numeric
+            word = tuple(map(int, index.split(",")))
+            certified = Fraction(evaluate(word, float(tol)).error_bound)
+            text = out.split("(error <= ")[1].rstrip(")\n")
+            mantissa, exponent = text.split("e")
+            assert len(mantissa) == 5, text  # 4 significant digits
+            printed = Fraction(Decimal(text))
+            unit = Fraction(10) ** (int(exponent) - 3)
+            # the least 4-digit decimal at or above the certified bound
+            assert printed - unit < certified <= printed, argv
+            shown += 1
+        assert shown >= 130
 
 
 class TestCoeff:
@@ -374,6 +403,21 @@ class TestImportFootprint:
             "print(harm_elem_numeric(s_map((3, 1)), 1e-10).value)\n"
         )
         assert abs(float(stdout) - math.pi**4 / 72) <= 1e-10
+
+    def test_verify_loads_only_the_layers_of_its_check(self):
+        code, loaded = _cli_in_fresh_process("verify", "zhom", "--trials", "0")
+        assert code == 0
+        assert {"zetastar.numeric", "zetastar.words"} <= loaded
+        exact_cores = {
+            "zetastar.closed_forms", "zetastar.cyclotomic", "zetastar.exact",
+            "zetastar.series",
+        }
+        assert not loaded & exact_cores
+        argv = ("verify", "genfunc", "--m", "2", "--max-n", "1")
+        code, loaded = _cli_in_fresh_process(*argv)
+        assert code == 0
+        assert exact_cores <= loaded
+        assert not loaded & {"zetastar.numeric", "zetastar.words"}
 
     def test_json_output_loads_json(self):
         argv = ("bernoulli", "--n", "4", "--format", "json")

@@ -141,8 +141,8 @@ class TestReport:
 
     def test_record_mutates(self):
         r = Report("x", {})
-        r.record(True)
-        r.record(False, trial=1)
+        r.record(True, lambda: {"trial": 0})
+        r.record(False, lambda: {"trial": 1})
         assert (r.cases, r.failures, r.ok) == (2, [{"trial": 1}], False)
         assert r.to_json_obj() == {
             "check": "x", "params": {}, "cases": 2, "failures": [{"trial": 1}],

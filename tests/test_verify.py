@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from zetastar import cli, verify, words
+from zetastar import cli, numeric, words
 from zetastar.numeric import ToleranceUnreachable, mzv_numeric
 from zetastar.verify import (
     Report,
@@ -127,24 +127,28 @@ class TestZHomomorphism:
         assert report.ok and report.cases == 10
 
     def test_bounds_not_vacuous(self, monkeypatch):
-        """With one stuffle term dropped from (or repeated in) every product,
-        the brackets no longer meet, on the side the mutation moves."""
+        """With one stuffle term dropped from (or counted twice in) every
+        product, the brackets no longer meet, on the side the mutation moves."""
         full = words._stuffle_words
         for mutation in ("drop", "repeat"):
 
-            def mutated(u, v, mutation=mutation):
-                terms = full(u, v)
-                return terms[:-1] if mutation == "drop" else terms + terms[:1]
+            def mutated(keys, v, mutation=mutation):
+                for ws, mults in full(keys, v):
+                    if mutation == "drop":
+                        yield ws[:-1], mults[:-1]
+                    else:
+                        yield ws, [2 * mults[0], *mults[1:]]
 
             with monkeypatch.context() as patch:
                 patch.setattr(words, "_stuffle_words", mutated)
                 report = verify_z_homomorphism(seed=5, trials=10)
-            assert not report.ok, mutation
-            failure = report.failures[0]
-            assert set(failure) == {"trial", "w1", "w2", "lhs", "rhs"}
-            lhs = [Fraction(end) for end in failure["lhs"]]
-            rhs = [Fraction(end) for end in failure["rhs"]]
-            assert lhs[1] < rhs[0] if mutation == "drop" else rhs[1] < lhs[0]
+            # every product is hit
+            assert len(report.failures) == report.cases == 10, mutation
+            for failure in report.failures:
+                assert set(failure) == {"trial", "w1", "w2", "lhs", "rhs"}
+                lhs = [Fraction(end) for end in failure["lhs"]]
+                rhs = [Fraction(end) for end in failure["rhs"]]
+                assert lhs[1] < rhs[0] if mutation == "drop" else rhs[1] < lhs[0]
 
     @pytest.mark.parametrize("tol", [1e-14, 1e-15])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -165,14 +169,14 @@ class TestZHomomorphism:
         distinct = {
             sampler.word(3, 4, max_weight=6, admissible=True) for _ in range(100)
         }
-        full = verify._elem_bracket
+        full = numeric._elem_bracket
         calls = []
 
         def counting(elem, tol):
             calls.append(elem)
             return full(elem, tol)
 
-        monkeypatch.setattr(verify, "_elem_bracket", counting)
+        monkeypatch.setattr(numeric, "_elem_bracket", counting)
         report = verify_z_homomorphism(1, 50)
         assert report == expected and report.ok
         # one bracket per product and one per distinct single word, fewer
@@ -197,24 +201,43 @@ class TestProductIdentitiesNotVacuous:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_thm6(self, monkeypatch, n):
-        monkeypatch.setattr(verify, "s_map", _lossy_s_map)
+        monkeypatch.setattr(words, "s_map", _lossy_s_map)
         report = verify_thm6(3, 1, n)
         assert report.cases == 2
         assert [f["identity"] for f in report.failures] == ["alternating", "tailed"]
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_thm7(self, monkeypatch, n):
-        monkeypatch.setattr(verify, "s_map", _lossy_s_map)
+        monkeypatch.setattr(words, "s_map", _lossy_s_map)
         report = verify_thm7(3, 1, 2, n)
         assert report.cases == 2
         assert [f["identity"] for f in report.failures] == ["plain", "wrapped"]
 
 
+class TestLazyFailureDetail:
+    def test_passing_identities_render_no_element(self, monkeypatch):
+        rendered = []
+        full = HarmElem.__str__
+
+        def counting(elem):
+            rendered.append(len(elem))
+            return full(elem)
+
+        monkeypatch.setattr(HarmElem, "__str__", counting)
+        assert verify_thm6(2, 1, 6).ok
+        assert verify_thm7(3, 1, 2, 2).ok
+        assert rendered == []
+        # a failing case still renders both sides of each identity
+        monkeypatch.setattr(words, "s_map", _lossy_s_map)
+        assert len(verify_thm6(3, 1, 1).failures) == 2
+        assert len(rendered) == 4
+
+
 class TestReport:
     def test_json_shape(self):
         report = Report("demo", {"n": 1})
-        report.record(True, detail="x")
-        report.record(False, lhs="a", rhs="b")
+        report.record(True, lambda: {"detail": "x"})
+        report.record(False, lambda: {"lhs": "a", "rhs": "b"})
         obj = report.to_json_obj()
         assert json.dumps(obj)  # serializable
         assert obj["cases"] == 2

@@ -160,8 +160,9 @@ class TestHarmonicProduct:
             assert got == oracle, (u, v)
 
     def test_kernel_words_distinct_and_exact(self):
-        # harmonic_product adds the pairs up, so it would hide a word listed
-        # twice; only heads p == q can make two words coincide
+        # harmonic_product takes its first cell as a dict, so it would
+        # miscount a word listed twice; only heads p == q can make two words
+        # coincide
         ones_to_threes = [w for d in range(4) for w in product((1, 2, 3), repeat=d)]
         pairs = [(u, v) for u in ones_to_threes for v in ones_to_threes]
         pairs += [
@@ -171,9 +172,55 @@ class TestHarmonicProduct:
             ((1, 2, 1, 2, 1), (2, 1, 2, 1, 2)),
         ]
         for u, v in pairs:
-            terms = words_module._stuffle_words(key_of(u), key_of(v))
-            assert len({w for w, _ in terms}) == len(terms), (u, v)
-            assert dict(terms) == oracle_on_keys(key_of(u), key_of(v)), (u, v)
+            [(words, mults)] = words_module._stuffle_words([key_of(u)], key_of(v))
+            assert len(set(words)) == len(words) == len(mults), (u, v)
+            got = dict(zip(words, mults))
+            assert got == oracle_on_keys(key_of(u), key_of(v)), (u, v)
+
+    def test_kernel_shares_suffix_rows(self):
+        # keys that share suffixes of every length, and some that share
+        # none; each key's cell is exact whatever order the keys come in
+        keys = [key_of(w) for d in range(4) for w in product((1, 2), repeat=d)]
+        keys += [key_of(w) for w in [(3, 1, 2, 1), (4, 4), (1, 4, 4), (3,)]]
+        orders = [
+            sorted(keys, key=lambda k: k[::-1]), keys, keys[::-1], keys + keys[:3]
+        ]
+        for v in [(), (1,), (2, 1), (1, 1, 2), (4, 1, 4)]:
+            for order in orders:
+                cells = list(words_module._stuffle_words(order, key_of(v)))
+                assert len(cells) == len(order)
+                for u, (words, mults) in zip(order, cells):
+                    assert len(set(words)) == len(words) == len(mults), (u, v)
+                    got = dict(zip(words, mults))
+                    assert got == oracle_on_keys(u, key_of(v)), (u, v)
+
+    @pytest.mark.parametrize(
+        "u,v",
+        [
+            # words sharing suffixes, with the empty word and repeated letters
+            (
+                {(): F(1, 2), (1,): -3, (2, 1): F(2, 3), (1, 2, 1): 1,
+                 (2, 2, 1): F(-1, 4), (1, 1): 5, (1, 1, 1): -2, (3,): 0},
+                {(1,): 1, (2, 1): -1, (1, 1): F(1, 3), (): -2},
+            ),
+            # words sharing no suffix, all numerators of one sign
+            (
+                {(1, 2): 3, (2, 3): F(1, 5), (3, 1, 4): 2, (4,): F(7, 2)},
+                {(2,): F(-1, 3), (1, 3): -4},
+            ),
+            # terms that cancel: (z1 + z2)(z1 - z2) = z1 * z1 - z2 * z2
+            ({(1,): 1, (2,): 1}, {(1,): 1, (2,): -1}),
+            ({(1, 2): F(1, 2), (2, 2): 1, (): 3}, {(1, 2): F(-1, 2), (2, 2): 1}),
+            ({(2, 1): 4}, {(1, 1): F(-3, 2), (2, 1): 1, (1, 2, 1): 0}),
+            ({(1,): 2}, {}),
+        ],
+    )
+    def test_combinations_against_lattice_paths(self, u, v):
+        eu, ev = HarmElem(u), HarmElem(v)
+        expected = stuffle_of_combinations(as_dict(eu), as_dict(ev))
+        assert as_dict(eu * ev) == expected
+        assert as_dict(ev * eu) == expected
+        assert eu * ev == HarmElem(expected)
 
     def test_bilinearity(self):
         u = HarmElem.from_word((2,), 3) + HarmElem.from_word((1, 1), F(-1, 2))
@@ -311,23 +358,26 @@ def _words_over(parts, max_depth):
 
 # more distinct keys than the old bounded memos held: 72 words give 5184
 # ordered pairs against 4096 stuffle entries, and 81 words against 16
-# expansions; the stuffle kernel takes the words' keys
-STUFFLE_KEYS = list(product(map(key_of, _words_over(range(1, 9), 2)), repeat=2))
+# expansions; the stuffle kernel takes a list of keys and one key
+STUFFLE_KEYS = [
+    ([u], v) for u, v in product(map(key_of, _words_over(range(1, 9), 2)), repeat=2)
+]
 S_MAP_KEYS = list(product((1, 2, 3), repeat=4))
 
 
-def _retained(call, keys, footprint):
+def _retained(call, keys, footprint, consume=lambda result: result):
     """(current, peak) traced bytes left behind by calling `call` on every
-    key, each result dropped at once, in units of the largest result's
+    key and passing the result to `consume` (which runs a generator out),
+    each result dropped at once, in units of the largest result's
     footprint.  With nothing kept both stay small; the tests' slack of 2
     and 3 footprints covers the interpreter's tuple free lists and, at the
     peak, one call's result with its suffix table."""
-    largest = max(footprint(call.__wrapped__(*key)) for key in keys)
+    largest = max(footprint(consume(call.__wrapped__(*key))) for key in keys)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         for key in keys:
-            call(*key)
+            consume(call(*key))
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -341,7 +391,7 @@ class TestBoundedCaches:
     def test_eviction_keeps_results_exact(self):
         stuffle = words_module._stuffle_words
         for u, v in STUFFLE_KEYS:
-            stuffle(u, v)
+            list(stuffle(u, v))
         for w in S_MAP_KEYS:
             s_map(w)
         for memo in (stuffle, s_map):
@@ -349,7 +399,8 @@ class TestBoundedCaches:
         # nothing was kept: computing a key again misses
         misses = stuffle.cache_info().misses
         for u, v in STUFFLE_KEYS[:50]:
-            assert dict(stuffle(u, v)) == oracle_on_keys(u, v)
+            [(words, mults)] = stuffle(u, v)
+            assert dict(zip(words, mults)) == oracle_on_keys(u[0], v)
         assert stuffle.cache_info().misses == misses + 50
         misses = s_map.cache_info().misses
         for w in S_MAP_KEYS[:20]:
@@ -366,7 +417,8 @@ class TestBoundedCaches:
         def work(offset):
             out = {}
             for u, v in rotated(STUFFLE_KEYS, offset):
-                out[u, v] = sorted(words_module._stuffle_words(u, v))
+                [(words, mults)] = words_module._stuffle_words(u, v)
+                out[u[0], v] = sorted(zip(words, mults))
             for w in rotated(S_MAP_KEYS, offset):
                 out[w] = s_map(w)
             return out
@@ -406,11 +458,16 @@ class TestBoundedCaches:
         assert current < 2 and peak < 3
 
     def test_stuffle_memory_stays_flat(self):
-        def footprint(terms):
+        def footprint(cells):
+            # the product's terms held as (word, multiplicity) pairs
+            [(words, mults)] = cells
+            terms = tuple(zip(words, mults))
             pairs = sum(sys.getsizeof(pair) + sys.getsizeof(pair[0]) for pair in terms)
             return sys.getsizeof(terms) + pairs
 
-        current, peak = _retained(words_module._stuffle_words, STUFFLE_KEYS, footprint)
+        current, peak = _retained(
+            words_module._stuffle_words, STUFFLE_KEYS, footprint, consume=list
+        )
         assert current < 2 and peak < 3
 
 
