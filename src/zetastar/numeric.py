@@ -45,6 +45,12 @@ is rounded out to 2^-2P.  A float result raises P by fixed steps until the
 bracket is at most tol/2 wide, and rounds its midpoint; the bound adds the
 larger distance from the midpoint to that float or to the 17 digits that
 print it.
+
+Before a bracket's two sweeps run, their work, N terms of P bits through
+each letter, is predicted as N x P x letters and refused past a cap with a
+ValueError.  Large parts make both N and the letter count large, so an index
+such as (5000,) is refused at once; a lower bound of N decides before the
+search for N when it already passes the cap.
 """
 
 from __future__ import annotations
@@ -75,6 +81,10 @@ DEFAULT_TOL = 1e-8
 _STEP = 16  # bits: P's margin over the tolerance, and its increment
 _MAX_PREC = 4096
 _GUARD = 2  # bits a sweep carries past P and log2(N c)
+# Units of sweep work, N x P x letters over a bracket's two sweeps.  The
+# slowest rate measured, about 1.7 ns a unit on the short integers of P near
+# 42 bits (0.2 to 0.4 ns on long ones), puts a bracket at the cap near 1 s.
+_MAX_WORK = 600_000_000
 _SWAP = str.maketrans("xy", "yx")
 
 
@@ -111,13 +121,46 @@ def _letters(index: Word, strict: bool) -> str:
     return xy if strict else xy[:-1].replace("y", "z") + xy[-1:]
 
 
+def _least_cutoff(k: int, prec: int) -> int:
+    """A lower bound of :func:`_cutoff`, found without its search: no
+    smaller N can put the tail under 2^-prec."""
+    return max(2 * k, prec - prec.bit_length())
+
+
 def _cutoff(k: int, prec: int) -> int:
     """N, the first cutoff that puts the tail of a sweep with `k` y and z
     letters above the innermost under 2^-prec."""
-    m = max(2 * k, prec - prec.bit_length()) + 1  # N + 1; no smaller N can do
+    m = _least_cutoff(k, prec) + 1  # N + 1
     while 6 * (1 + m.bit_length()) ** k << prec > m << m:
         m += 1
     return m - 1
+
+
+def _sweep_work(cut: int, prec: int, letters: int) -> int:
+    """The work of sweeps of `cut` terms in all at `prec` bits through
+    `letters` letters, in units of N x P x letters."""
+    return cut * prec * letters
+
+
+def _cutoffs(word: str, prec: int) -> tuple[int, int]:
+    """N for the right and the left sweep of `word` at `prec`.  Raises
+    ValueError when the two sweeps' work passes _MAX_WORK: first on the
+    least N each can take, before the search for N, which is itself slow
+    when the sweep has many y and z letters; then on N itself."""
+    letters = len(word)
+    # y and z letters above the innermost: the left sweep swaps x and y
+    ks = (letters - word.count("x") - 1, letters - word.count("y") - 1)
+    for cutoff in (_least_cutoff, _cutoff):
+        cuts = [cutoff(k, prec) for k in ks]
+        terms = sum(cuts)
+        work = _sweep_work(terms, prec, letters)
+        if work > _MAX_WORK:
+            raise ValueError(
+                f"sweeps of {terms} terms at {prec} bits over {letters} "
+                f"letters need at least {work} units of work, past the cap "
+                f"of {_MAX_WORK}"
+            )
+    return cuts[0], cuts[1]
 
 
 def _step(letter: str, gs: list[int]) -> list[int]:
@@ -135,10 +178,10 @@ def _step(letter: str, gs: list[int]) -> list[int]:
 _UNITS = {"x": 1, "y": 3, "z": 3}
 
 
-def _sweep(word: str, prec: int) -> list[tuple[int, int]]:
+def _sweep(word: str, prec: int, cut: int) -> list[tuple[int, int]]:
     """[lo, hi] around 2^prec lambda(s) for each suffix s of `word`, indexed
-    by the length of s."""
-    cut = _cutoff(len(word) - word.count("x") - 1, prec)
+    by the length of s, summing `cut` terms, no fewer than :func:`_cutoff`
+    asks for."""
     one = 1 << prec
     gs = [(one >> n) // n for n in range(1, cut + 1)]
     count = 1
@@ -161,8 +204,9 @@ def _zeta_bracket(word: str, prec: int) -> tuple[int, int]:
     # N is about max(prec, 2 len), and c is at most 3 len
     extra = (max(prec, 2 * len(word)) * 3 * len(word)).bit_length() + _GUARD
     work = prec + extra
-    right = _sweep(word, work)
-    left = _sweep(word[::-1].translate(_SWAP), work)
+    right_cut, left_cut = _cutoffs(word, work)
+    right = _sweep(word, work, right_cut)
+    left = _sweep(word[::-1].translate(_SWAP), work, left_cut)
     lo = hi = 0
     for (a, b), (c, d) in zip(left, reversed(right)):
         lo, hi = lo + a * c, hi + b * d

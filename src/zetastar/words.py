@@ -35,6 +35,7 @@ caller keeps and concurrent use is safe.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -467,10 +468,24 @@ def s_map_via_s1(word: Word) -> HarmElem:
     """Compute the merge expansion through the two-letter alphabet.
 
     Writes the word as F y, expands the substitution automorphism on F,
-    appends the final y and converts back: each run x^a of F ended by a y
+    appends the final y and converts back: each run x^a ended by a y
     becomes the letter chr(a + 1).  Independent route used to cross-check
     :func:`s_map`; a weight past the limit raises ValueError before any
     string is built.
+
+    The substitution replaces letter by letter, so it is multiplicative:
+    the images of F = A B are the concatenations of an image of A with an
+    image of B, each pair once.  F is cut after its middle y, and each half
+    is expanded and read back once.  A head image becomes its closed
+    letters, the runs its y's end, and the length of its open trailing
+    x-run; a tail image becomes the length of its leading x-run and the
+    letters of its other runs, the last one ended by the final y.  The two
+    runs meeting at the cut form one run, so a full image's key is
+    ``closed + chr(open + lead + 1) + rest``.  Tails are grouped by their
+    leading run, so each image costs one concatenation of a shared prefix
+    with a tail's letters, and a depth-n word reads back about
+    2 * 2^((n-1)/2) half-images instead of 2^(n-1) full ones.  The keys
+    are counted, not assumed distinct.
     """
     word = tuple(word)
     if not word:
@@ -478,11 +493,23 @@ def s_map_via_s1(word: Word) -> HarmElem:
     total = weight(word)  # the largest letter, from the image with no y in F
     if total > _MAX_PART:
         raise _out_of_range("weight", total)
-    acc: dict[str, int] = {}
-    for image in s1_substitute(word_to_xy(word)[:-1]):
-        key = "".join([chr(len(run) + 1) for run in image.split("y")])
-        acc[key] = acc.get(key, 0) + 1
-    return _elem(acc, 1)
+    f = word_to_xy(word)[:-1]
+    cut = sum(word[: len(word) // 2])  # just past the y ending the middle part
+    heads: list[tuple[str, int]] = []
+    for image in s1_substitute(f[:cut]):
+        *runs, open_run = image.split("y")
+        heads.append(("".join([chr(len(run) + 1) for run in runs]), len(open_run)))
+    tails: dict[int, list[str]] = {}
+    for image in s1_substitute(f[cut:]):
+        lead, *runs = image.split("y")
+        rest = "".join([chr(len(run) + 1) for run in runs])
+        tails.setdefault(len(lead), []).append(rest)
+    keys: list[str] = []
+    for closed, open_len in heads:
+        for lead_len, rests in tails.items():
+            glue = closed + chr(open_len + lead_len + 1)
+            keys += [glue + rest for rest in rests]
+    return _elem(dict(Counter(keys)), 1)
 
 
 def insertions(n: int) -> list[Word]:

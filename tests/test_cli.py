@@ -179,6 +179,24 @@ class TestVerifyCommand:
         assert code == 0
         assert "PASS" in out
 
+    def test_sconsist_deep(self, capsys):
+        # exhaustive through depth 6, then 120 seeded words at each of 7-12
+        code, out, _ = run(
+            capsys, "verify", "sconsist", "--max-depth", "12", "--max-part", "3"
+        )
+        assert code == 0
+        assert out == "check=sconsist max_depth=12 max_part=3 cases=1812 PASS\n"
+        code, out, _ = run(
+            capsys, "verify", "sconsist", "--max-depth", "12", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "check": "sconsist",
+            "params": {"max_depth": 12, "max_part": 3},
+            "cases": 1812,
+            "failures": [],
+        }
+
 
 class TestSimpleCommands:
     def test_bernoulli(self, capsys):
@@ -242,6 +260,22 @@ class TestErrors:
         assert err == (
             "error: block sum 1114112 is out of range: word parts are at most 1114111\n"
         )
+
+    @pytest.mark.parametrize("index", ["5000", "1114111,1"])
+    def test_sweep_past_the_work_cap(self, index):
+        # refused before any sweep runs, and before the search for its
+        # cutoff: uncapped, each runs for minutes or hours
+        src = str(Path(zetastar.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "zetastar.cli", "eval", "--index", index],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: sweeps of ")
+        assert "units of work, past the cap of 600000000" in proc.stderr
 
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "bernoulli", "--n", "2", "--bogus")

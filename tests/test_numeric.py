@@ -421,7 +421,7 @@ class TestTaperedSweep:
             for letter in word[-2::-1]:
                 exact = _exact_step(letter, exact)
                 sums.append(sum(exact))
-            brackets = numeric._sweep(word, prec)
+            brackets = numeric._sweep(word, prec, cut)
             assert brackets[0] == (1 << prec, 1 << prec)
             for (lo, hi), total in zip(brackets[1:], sums[1:]):
                 assert lo <= total <= hi - 1, word
@@ -437,3 +437,56 @@ class TestTaperedSweep:
                 lo, hi = numeric._zeta_bracket(word, bits)
                 fine_lo, fine_hi = numeric._zeta_bracket(word, bits + 200)
                 assert lo << 400 <= fine_lo <= fine_hi <= hi << 400
+
+
+class TestSweepWorkCap:
+    """A bracket's two sweeps are priced at N x P x letters before either
+    runs, and refused past numeric._MAX_WORK; nothing here runs a sweep
+    the cap refuses."""
+
+    def test_work_is_terms_times_bits_times_letters(self):
+        assert numeric._sweep_work(11748, 71, 3000) == 11748 * 71 * 3000
+        assert numeric._sweep_work(0, 71, 3000) == 0
+
+    def test_cutoffs_are_the_sweeps_own(self):
+        # one cutoff per direction, from the y and z letters above the
+        # innermost once x and y are swapped for the left sweep
+        for index, star in [((2,), False), ((3, 1), True), ((5, 1, 2), False)]:
+            word = numeric._letters(index, not star)
+            left = word[::-1].translate(numeric._SWAP)
+            for prec in (20, 71, 300):
+                want = tuple(
+                    numeric._cutoff(len(w) - w.count("x") - 1, prec)
+                    for w in (word, left)
+                )
+                assert numeric._cutoffs(word, prec) == want
+
+    def test_least_cutoff_is_a_lower_bound(self):
+        for k in range(0, 60, 7):
+            for prec in (1, 2, 17, 71, 500):
+                assert numeric._least_cutoff(k, prec) <= numeric._cutoff(k, prec)
+
+    def test_refused_just_past_the_cap(self, monkeypatch):
+        word = numeric._letters((40, 1), True)
+        cuts = numeric._cutoffs(word, 71)
+        work = numeric._sweep_work(sum(cuts), 71, len(word))
+        monkeypatch.setattr(numeric, "_MAX_WORK", work)
+        assert numeric._cutoffs(word, 71) == cuts
+        monkeypatch.setattr(numeric, "_MAX_WORK", work - 1)
+        with pytest.raises(ValueError, match=f"need at least {work} units of work"):
+            numeric._cutoffs(word, 71)
+
+    def test_large_parts_refused_before_the_cutoff_search(self, monkeypatch):
+        def search(k, prec):
+            raise AssertionError("the lower bound alone passes the cap")
+
+        monkeypatch.setattr(numeric, "_cutoff", search)
+        message = "units of work, past the cap of 600000000"
+        with pytest.raises(ValueError, match=message):
+            mzv_numeric((5000,))
+        with pytest.raises(ValueError, match=message):
+            mzsv_numeric((1114111, 1))
+        with pytest.raises(ValueError, match=message):
+            zeta_interval((2,), bits=10**6)
+        with pytest.raises(ValueError, match=message):
+            harm_elem_numeric(HarmElem.from_word((3000,)) + HarmElem.from_word((2,)))

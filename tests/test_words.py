@@ -1,6 +1,7 @@
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -520,6 +521,36 @@ class TestXYWords:
         for d in range(1, 6):
             for word in product((1, 2, 3), repeat=d):
                 assert s_map(word) == s_map_via_s1(word), word
+
+    def test_via_s1_against_full_images(self):
+        # the two half read-backs and their glue, against every full image
+        # read back on its own
+        words = [w for d in range(1, 9) for w in product((1, 2, 3), repeat=d)]
+        # depth 1 leaves the head empty; depth 2 leaves the tail without a y
+        words += [(1,), (7,), (1, 1), (5, 1), (1, 5), (4, 2)]
+        words += [(1, 300, 1), (255, 1, 256), (2, 1, 300, 1, 2), (300, 1, 1, 255)]
+        for word in words:
+            images = s1_substitute(word_to_xy(word)[:-1])
+            expected = Counter(xy_to_word(image + "y") for image in images)
+            got = s_map_via_s1(word)
+            assert got._den == 1, word
+            assert got._num == {key_of(w): c for w, c in expected.items()}, word
+
+
+class TestAntipode:
+    """sum_{i=0}^{n} (-1)^i rev(w[:i]) * S(w[i:]) = 0 for every nonempty
+    word w, with S(1) = 1: the antipode of the quasi-shuffle algebra
+    (Hoffman, J. Algebraic Combin. 11, 2000).  It ties the merge expansion
+    to the stuffle product without going through s_map_via_s1."""
+
+    def test_vanishes_on_small_words(self):
+        for d in range(1, 6):
+            for word in product((1, 2, 3), repeat=d):
+                total = HarmElem.zero()
+                for i in range(d + 1):
+                    term = HarmElem.from_word(word[:i][::-1]) * s_map(word[i:])
+                    total = total - term if i % 2 else total + term
+                assert not total, word
 
 
 def prepend(head, elem):
